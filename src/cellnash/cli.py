@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -32,8 +33,8 @@ from .gamefile import (
 )
 from .labeling import root_label
 from .oracle import grid_min_regret, support_enumeration_2p, verify_profile
-from .search import default_budget, find_pre_equilibria, representative, solve
-from .subdivision import cell_diameter, player_triangulations, triangulate
+from .search import find_pre_equilibria, representative, solve
+from .subdivision import cell_diameter, player_triangulations
 from .volume import moved_cell_volume, total_volume_polynomial
 
 EXIT_OK = 0
@@ -107,10 +108,8 @@ def _cmd_eval(args) -> int:
 def _cmd_cells(args) -> int:
     game = _read_game(args.game)
     certs = find_pre_equilibria(game, args.m, budget=args.budget)
-    tris = player_triangulations(game, args.m)
-    total_cells = 1
-    for tri in tris:
-        total_cells *= len(tri.cells)
+    # a simplex with k strategies has m**(k-1) cells at resolution m
+    total_cells = math.prod(args.m ** (count - 1) for count in game.shape)
     entries = []
     for cert in certs:
         rep = representative(cert)
@@ -142,7 +141,9 @@ def _cmd_cells(args) -> int:
 
 def _cmd_volume_check(args) -> int:
     game = _read_game(args.game)
-    tri = triangulate(game.shape[0] - 1, args.m)
+    # [0], not unpacking: a multi-player game must reach the
+    # not-single-player error in total_volume_polynomial
+    tri = player_triangulations(game, args.m)[0]
     result = total_volume_polynomial(game, tri)
     cert_cells = [
         cert.cell.factor[0] for cert in find_pre_equilibria(game, args.m)
@@ -284,8 +285,6 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     scalars.set_numeric_mode(args.mode)
-    if getattr(args, "budget", None) is None and hasattr(args, "budget"):
-        args.budget = default_budget()
     try:
         return args.func(args)
     except CellNashError as exc:

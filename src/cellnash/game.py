@@ -263,10 +263,7 @@ def is_equilibrium(game: Game, sigma: MixedProfile, eps: Scalar) -> bool:
     Pure deviations suffice: a mixed deviation's payoff is an average of
     pure ones, so its gain never beats the best pure gain.
     """
-    if isinstance(eps, float):
-        if eps < 0:
-            raise NegativeEpsilon(f"eps {eps} is negative")
-    elif eps < 0:
+    if eps < 0:
         raise NegativeEpsilon(f"eps {eps} is negative")
     return scalars.less_equal(max_regret(game, sigma), eps)
 

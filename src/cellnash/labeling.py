@@ -37,7 +37,7 @@ def root_label(game: Game, sigma: MixedProfile) -> PureProfile:
         best_s = support[0]
         best_v = devs[best_s]
         for s in support[1:]:
-            if devs[s] < best_v:
+            if scalars.strictly_greater(best_v, devs[s]):
                 best_s = s
                 best_v = devs[s]
         choices.append(best_s)
@@ -48,10 +48,7 @@ def root_motion(game: Game, sigma: MixedProfile, t: Scalar) -> MixedProfile:
     """Point at parameter ``t`` on the segment from ``sigma`` to the
     degenerate profile on its label.  ``t=0`` returns ``sigma`` itself,
     ``t=1`` the fully moved profile."""
-    if isinstance(t, float):
-        if not 0.0 <= t <= 1.0:
-            raise ParameterOutOfRange(f"t={t} outside [0, 1]")
-    elif not 0 <= t <= 1:
+    if not 0 <= t <= 1:
         raise ParameterOutOfRange(f"t={t} outside [0, 1]")
     label = root_label(game, sigma)
     dists = []

@@ -11,12 +11,12 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, ParameterOutOfRange
-from .game import Game, GainTable, MixedProfile, gain_table, is_equilibrium
+from . import scalars
+from .errors import NegativeEpsilon, ParameterOutOfRange
+from .game import Game, GainTable, MixedProfile, gain_table
 from .linalg import solve_affine
 from .scalars import Scalar
-from .search import default_budget
-from .subdivision import player_triangulations, vertex_profile_count
+from .subdivision import player_triangulations
 
 
 @dataclass(frozen=True)
@@ -33,12 +33,7 @@ def grid_min_regret(
 ) -> OracleResult:
     """Exhaustive scan of every lattice profile, keeping the first
     profile (lexicographic vertex order) with the smallest max regret."""
-    if budget is None:
-        budget = default_budget()
-    tris = player_triangulations(game, resolutions)
-    needed = vertex_profile_count(tris)
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
+    tris = player_triangulations(game, resolutions, budget)
     best_profile = None
     best_regret = None
     for combo in itertools.product(*(t.vertices for t in tris)):
@@ -55,7 +50,9 @@ def verify_profile(
 ) -> tuple[bool, GainTable]:
     """Recompute the gain table from scratch and test the regret bound."""
     table = gain_table(game, sigma)
-    return is_equilibrium(game, sigma, eps), table
+    if eps < 0:
+        raise NegativeEpsilon(f"eps {eps} is negative")
+    return scalars.less_equal(max(table.best), eps), table
 
 
 @dataclass(frozen=True)

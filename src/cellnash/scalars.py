@@ -41,10 +41,6 @@ def get_numeric_mode() -> str:
     return _mode
 
 
-def is_rational_mode() -> bool:
-    return _mode == RATIONAL
-
-
 @contextmanager
 def numeric_mode(mode: str):
     """Temporarily switch the numeric mode (used by tests)."""

@@ -17,13 +17,12 @@ the one interior lattice point), while finer stages recover.
 from __future__ import annotations
 
 import itertools
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import scalars
-from .errors import BudgetExceeded, NegativeEpsilon, NoPreEquilibriumFound, ParameterOutOfRange, ResolutionZero
+from .errors import NegativeEpsilon, NoPreEquilibriumFound, ParameterOutOfRange, ResolutionZero
 from .game import Game, GainTable, MixedProfile, PureProfile, gain_table
 from .labeling import root_label
 from .scalars import Scalar
@@ -32,27 +31,12 @@ from .subdivision import (
     Triangulation,
     build_product_cell,
     cell_diameter,
+    default_budget,
     player_triangulations,
-    vertex_profile_count,
 )
-
-DEFAULT_BUDGET = 10_000_000
 
 SOME_PLAYER_NOT_UP = "SOME_PLAYER_NOT_UP"
 PLAYER_UP_EVERYWHERE = "PLAYER_UP_EVERYWHERE"
-
-
-def default_budget() -> int:
-    raw = os.environ.get("NASH_BUDGET")
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ParameterOutOfRange(f"NASH_BUDGET={raw!r} is not an integer") from None
-    if value < 1:
-        raise ParameterOutOfRange(f"NASH_BUDGET={value} must be >= 1")
-    return value
 
 
 @dataclass(frozen=True)
@@ -81,16 +65,6 @@ class CellClassification:
     player: Optional[int] = None
 
 
-def _check_resolutions(game: Game, resolutions: Sequence[int] | int) -> tuple[int, ...]:
-    if isinstance(resolutions, int):
-        resolutions = (resolutions,) * game.num_players
-    resolutions = tuple(resolutions)
-    for m in resolutions:
-        if m < 1:
-            raise ResolutionZero(f"resolution {m} must be >= 1")
-    return resolutions
-
-
 def find_pre_equilibria(
     game: Game,
     resolutions: Sequence[int] | int,
@@ -98,21 +72,14 @@ def find_pre_equilibria(
 ) -> list[PreEquilibriumCert]:
     """All certificates at the given per-player resolutions, in
     lexicographic cell order.  An empty list is a legitimate outcome."""
-    resolutions = _check_resolutions(game, resolutions)
-    if budget is None:
-        budget = default_budget()
-    tris = player_triangulations(game, resolutions)
-    needed = vertex_profile_count(tris)
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
-    certs, _ = _scan(game, tris, resolutions)
+    certs, _ = _scan(game, player_triangulations(game, resolutions, budget))
     return certs
 
 
 def _scan(
-    game: Game, tris: tuple[Triangulation, ...], resolutions: tuple[int, ...]
+    game: Game, tris: tuple[Triangulation, ...]
 ) -> tuple[list[PreEquilibriumCert], int]:
-    strides = game.strides
+    resolutions = tuple(t.resolution for t in tris)
     vertices = [t.vertices for t in tris]
     memo: dict[tuple[int, ...], int] = {}
 
@@ -123,10 +90,7 @@ def _scan(
         profile = MixedProfile(
             tuple(vertices[j][v] for j, v in enumerate(key))
         )
-        pure = root_label(game, profile)
-        flat = 0
-        for stride, s in zip(strides, pure.choices):
-            flat += stride * s
+        flat = game.flat_index(root_label(game, profile).choices)
         memo[key] = flat
         return flat
 
@@ -204,12 +168,12 @@ class StageRecord:
     resolutions: tuple[int, ...]
     cells_scanned: int
     pre_equilibria_found: int
-    chosen_cell: Optional[tuple[int, ...]]
-    classification: Optional[CellClassification]
-    representative: Optional[MixedProfile]
-    total_gain: Optional[Scalar]
-    max_regret: Optional[Scalar]
-    diameter: Optional[float]
+    chosen_cell: Optional[tuple[int, ...]] = None
+    classification: Optional[CellClassification] = None
+    representative: Optional[MixedProfile] = None
+    total_gain: Optional[Scalar] = None
+    max_regret: Optional[Scalar] = None
+    diameter: Optional[float] = None
     wall_clock_s: float = 0.0
 
 
@@ -261,12 +225,8 @@ def solve(
     m = m0
     for stage in range(max_stages):
         start = time.perf_counter()
-        resolutions = _check_resolutions(game, m)
-        tris = player_triangulations(game, resolutions)
-        needed = vertex_profile_count(tris)
-        if needed > budget:
-            raise BudgetExceeded(needed, budget)
-        certs, scanned = _scan(game, tris, resolutions)
+        resolutions = (m,) * game.num_players
+        certs, scanned = _scan(game, player_triangulations(game, m, budget))
         total_cells += scanned
         if not certs:
             records.append(
@@ -275,12 +235,6 @@ def solve(
                     resolutions=resolutions,
                     cells_scanned=scanned,
                     pre_equilibria_found=0,
-                    chosen_cell=None,
-                    classification=None,
-                    representative=None,
-                    total_gain=None,
-                    max_regret=None,
-                    diameter=None,
                     wall_clock_s=time.perf_counter() - start,
                 )
             )

@@ -18,13 +18,30 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .errors import ResolutionZero
+from .errors import BudgetExceeded, ParameterOutOfRange, ResolutionZero
 from .game import Game, MixedProfile
 from .scalars import Scalar
+
+DEFAULT_BUDGET = 10_000_000
+
+
+def default_budget() -> int:
+    """The vertex-profile cap: ``NASH_BUDGET`` if set, else ``DEFAULT_BUDGET``."""
+    raw = os.environ.get("NASH_BUDGET")
+    if raw is None:
+        return DEFAULT_BUDGET
+    try:
+        value = int(raw)
+    except ValueError:
+        raise ParameterOutOfRange(f"NASH_BUDGET={raw!r} is not an integer") from None
+    if value < 1:
+        raise ParameterOutOfRange(f"NASH_BUDGET={value} must be >= 1")
+    return value
 
 
 @dataclass(frozen=True)
@@ -155,9 +172,18 @@ def build_product_cell(
 
 
 def player_triangulations(
-    game: Game, resolutions: Sequence[int] | int
+    game: Game,
+    resolutions: Sequence[int] | int,
+    budget: Optional[int] = None,
 ) -> tuple[Triangulation, ...]:
-    """One triangulation per player; a single int applies to everyone."""
+    """One triangulation per player; a single int applies to everyone.
+
+    Every grid in the package is built here.  A grid whose vertex profile
+    count exceeds ``budget`` (``None`` means :func:`default_budget`) is
+    refused with :class:`BudgetExceeded` before any triangulation exists:
+    player ``i`` with ``k`` strategies has ``C(m_i + k - 1, k - 1)``
+    lattice vertices, and the profiles are their product.
+    """
     if isinstance(resolutions, int):
         resolutions = (resolutions,) * game.num_players
     resolutions = tuple(resolutions)
@@ -165,6 +191,17 @@ def player_triangulations(
         raise ResolutionZero(
             f"{len(resolutions)} resolutions for {game.num_players} players"
         )
+    for m in resolutions:
+        if m < 1:
+            raise ResolutionZero(f"resolution {m} must be >= 1")
+    if budget is None:
+        budget = default_budget()
+    needed = math.prod(
+        math.comb(m + count - 1, count - 1)
+        for count, m in zip(game.shape, resolutions)
+    )
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
     return tuple(
         triangulate(count - 1, m) for count, m in zip(game.shape, resolutions)
     )
@@ -186,26 +223,21 @@ def product_cells(
         yield build_product_cell(tris, factor)
 
 
-def distance_squared(a: MixedProfile, b: MixedProfile) -> Scalar:
-    total: Scalar = 0
-    for va, vb in zip(a.dist, b.dist):
-        for pa, pb in zip(va, vb):
-            diff = pa - pb
-            total = total + diff * diff
-    return total
-
-
 def cell_diameter(cell: ProductCell) -> float:
     """Largest Euclidean distance between two vertex profiles, over the
-    concatenated strategy vectors.  Returned as a float: diameters are
+    concatenated strategy vectors.  Vertex profiles are all combinations
+    of the factor cells' vertices, so the largest squared distance is the
+    sum of each factor's largest.  Returned as a float: diameters are
     square roots and generally irrational."""
     worst: Scalar = 0
-    profiles = cell.vertex_profiles
-    for i in range(len(profiles)):
-        for j in range(i + 1, len(profiles)):
-            d = distance_squared(profiles[i], profiles[j])
-            if d > worst:
-                worst = d
+    for group in cell.factor_vertices:
+        worst = worst + max(
+            (
+                sum((pa - pb) * (pa - pb) for pa, pb in zip(a, b))
+                for a, b in itertools.combinations(group, 2)
+            ),
+            default=0,
+        )
     return math.sqrt(float(worst))
 
 

@@ -137,10 +137,7 @@ def moved_cell_volume(
 ) -> Scalar:
     """Signed volume of one moved cell at parameter ``t``, computed from a
     numeric determinant rather than the polynomial form."""
-    if isinstance(t, float):
-        if not 0.0 <= t <= 1.0:
-            raise ParameterOutOfRange(f"t={t} outside [0, 1]")
-    elif not 0 <= t <= 1:
+    if not 0 <= t <= 1:
         raise ParameterOutOfRange(f"t={t} outside [0, 1]")
     vertices, labels = _single_player_vertices(game, tri, cell_index)
     dim = tri.dim

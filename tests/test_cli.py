@@ -127,6 +127,32 @@ def test_volume_check_constant(capsys, tmp_path):
     assert all(line.split(",")[1] == "1" for line in lines[1:])
 
 
+def test_volume_check_refuses_grid_before_any_volume_work(capsys, monkeypatch):
+    def no_volumes(game, tri):
+        raise AssertionError("volume polynomials computed on an over-budget grid")
+
+    monkeypatch.setattr("cellnash.cli.total_volume_polynomial", no_volumes)
+    monkeypatch.setenv("NASH_BUDGET", "10")
+    code, out = run(capsys, "volume-check", ONE, "--m", "40")
+    assert code == EXIT_INPUT_ERROR
+    assert json.loads(out)["error"]["code"] == "budget-exceeded"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", MP, "--eps", "1"),
+        ("cells", MP, "--m", "2"),
+        ("oracle", MP, "--m", "2"),
+    ],
+)
+def test_bad_budget_env_is_json_input_error(capsys, monkeypatch, argv):
+    monkeypatch.setenv("NASH_BUDGET", "lots")
+    code, out = run(capsys, *argv)
+    assert code == EXIT_INPUT_ERROR
+    assert json.loads(out)["error"]["code"] == "parameter-out-of-range"
+
+
 def test_volume_check_rejects_two_player_games(capsys):
     code, out = run(capsys, "volume-check", MP, "--m", "2")
     assert code == EXIT_INPUT_ERROR

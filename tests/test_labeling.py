@@ -16,6 +16,7 @@ from cellnash import (
     gain_table,
     root_label,
     root_motion,
+    scalars,
 )
 
 from conftest import random_game, random_profile
@@ -32,6 +33,19 @@ def test_label_four_way_tie_takes_lowest_index(mp):
     )
     # every deviation payoff is 0: tie broken to the first strategy
     assert root_label(mp, uniform).choices == (0, 0)
+
+
+def test_float_label_ignores_differences_within_tolerance():
+    # 0.1 + 0.2 exceeds 0.3 by one ulp; the exact game ties and labels 0
+    with scalars.numeric_mode(scalars.FLOAT):
+        g = Game(strategy_names=(("s1", "s2"),), payoffs=((0.1 + 0.2, 0.3),))
+        assert root_label(g, MixedProfile(((0.5, 0.5),))).choices == (0,)
+    exact = Game(
+        strategy_names=(("s1", "s2"),),
+        payoffs=((Fraction(3, 10), Fraction(3, 10)),),
+    )
+    half = MixedProfile(((Fraction(1, 2), Fraction(1, 2)),))
+    assert root_label(exact, half).choices == (0,)
 
 
 def test_label_one_player_picks_minimum():

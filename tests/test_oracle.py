@@ -1,6 +1,8 @@
 """Grid scans, support enumeration, and profile verification."""
 
+import ast
 import itertools
+import pathlib
 import random
 from fractions import Fraction
 
@@ -13,6 +15,7 @@ from cellnash import (
     errors,
     gain_table,
     grid_min_regret,
+    oracle,
     is_equilibrium,
     solve,
     support_enumeration_2p,
@@ -164,3 +167,18 @@ def test_solver_final_profile_cross_validates():
         assert oracle.max_regret <= report.final_max_regret
         ok, _ = verify_profile(game, report.final_profile, eps)
         assert ok
+
+
+def test_oracle_imports_neither_search_nor_labeling():
+    # the oracle vouches for the solver only while it shares none of its code
+    tree = ast.parse(pathlib.Path(oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            package = "cellnash" if node.level else ""
+            module = ".".join(part for part in (package, node.module) if part)
+            imported.add(module)
+            imported.update(f"{module}.{alias.name}" for alias in node.names)
+    assert not imported & {"cellnash.search", "cellnash.labeling"}

@@ -11,8 +11,12 @@ from cellnash import (
     build_product_cell,
     cell_diameter,
     errors,
+    find_pre_equilibria,
+    grid_min_regret,
     player_triangulations,
     product_cells,
+    solve,
+    subdivision,
     triangulate,
 )
 from cellnash.subdivision import (
@@ -167,6 +171,43 @@ def test_per_player_resolutions():
     assert len(tris[0].cells) == 2
     assert len(tris[1].cells) == 9
     assert vertex_profile_count(tris) == 3 * binomial(5, 2)
+
+
+@pytest.mark.parametrize(
+    "shape, resolutions",
+    [
+        ((2,), (5,)),
+        ((2, 3), (2, 3)),
+        ((3, 3), (4, 1)),
+        ((2, 2, 2), (1, 2, 3)),
+        ((4, 1, 3), (2, 7, 3)),
+    ],
+)
+def test_budget_uses_exact_vertex_profile_count(shape, resolutions):
+    size = math.prod(shape)
+    game = make_game(shape, tuple((0,) * size for _ in shape))
+    built = vertex_profile_count(player_triangulations(game, resolutions))
+    # the closed form the budget is checked against, before anything is built
+    assert player_triangulations(game, resolutions, budget=built)
+    with pytest.raises(errors.BudgetExceeded) as info:
+        player_triangulations(game, resolutions, budget=built - 1)
+    assert info.value.needed == built
+
+
+def test_budget_refuses_grid_before_building_it(mp, monkeypatch):
+    def no_grid(dim, resolution):
+        raise AssertionError("triangulated an over-budget grid")
+
+    monkeypatch.setattr(subdivision, "triangulate", no_grid)
+    calls = (
+        lambda: find_pre_equilibria(mp, 200, budget=10),
+        lambda: solve(mp, 0, m0=200, budget=10),
+        lambda: grid_min_regret(mp, 200, budget=10),
+    )
+    for call in calls:
+        with pytest.raises(errors.BudgetExceeded) as info:
+            call()
+        assert info.value.needed == 201**2
 
 
 def test_build_product_cell_orders_profiles_lexicographically():
