@@ -22,7 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import scalars
-from .errors import CellNashError
+from .errors import CellNashError, ParseError
 from .game import Game, gain_table
 from .gamefile import (
     gain_table_json,
@@ -48,6 +48,8 @@ def _read_game(path: str) -> Game:
             text = handle.read()
     except OSError as exc:
         raise CellNashError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8: {exc}") from None
     return parse_game(text)
 
 

@@ -239,8 +239,12 @@ def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
     gains = []
     best = []
     for i in range(n):
-        base = evaluate_payoff(game, sigma, i)
         devs = deviation_payoffs(game, sigma, i)
+        # expected payoff: the own-strategy average of the deviation payoffs
+        base: Scalar = 0
+        for p, d in zip(sigma.dist[i], devs):
+            if p:
+                base = base + p * d
         row = tuple(max(d - base, 0) for d in devs)
         gains.append(row)
         best.append(max(row))

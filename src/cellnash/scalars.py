@@ -13,6 +13,7 @@ under different modes is not supported.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 from typing import Iterable, Union
@@ -64,21 +65,21 @@ def parse_scalar(value) -> Scalar:
 
     Accepts integers, strings in ``p/q`` or decimal form, and (in float
     mode only) floats.  Rational mode rejects floats outright rather than
-    guessing an intended fraction.
+    guessing an intended fraction.  Float mode returns only finite floats.
     """
     if isinstance(value, bool):
         raise ParseError(f"expected a number, got {value!r}")
     if isinstance(value, int):
-        return float(value) if _mode == FLOAT else value
+        return _finite(value) if _mode == FLOAT else value
     if isinstance(value, float):
         if _mode == RATIONAL:
             raise ParseError(
                 f"float {value!r} not allowed in rational mode; "
                 "write it as 'p/q' or a decimal string"
             )
-        return value
+        return _finite(value)
     if isinstance(value, Fraction):
-        return float(value) if _mode == FLOAT else _canonical(value)
+        return _finite(value) if _mode == FLOAT else _canonical(value)
     if isinstance(value, str):
         try:
             parsed = Fraction(value.strip())
@@ -86,8 +87,18 @@ def parse_scalar(value) -> Scalar:
             raise ParseError(f"zero denominator in {value!r}") from None
         except ValueError:
             raise ParseError(f"cannot parse scalar {value!r}") from None
-        return float(parsed) if _mode == FLOAT else _canonical(parsed)
+        return _finite(parsed) if _mode == FLOAT else _canonical(parsed)
     raise ParseError(f"cannot parse scalar of type {type(value).__name__}")
+
+
+def _finite(value) -> float:
+    try:
+        result = float(value)
+    except OverflowError:
+        result = math.inf
+    if not math.isfinite(result):
+        raise ParseError("scalar is not a finite float")
+    return result
 
 
 def format_scalar(value: Scalar):

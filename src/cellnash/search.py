@@ -17,6 +17,7 @@ the one interior lattice point), while finer stages recover.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -72,15 +73,19 @@ def find_pre_equilibria(
 ) -> list[PreEquilibriumCert]:
     """All certificates at the given per-player resolutions, in
     lexicographic cell order.  An empty list is a legitimate outcome."""
-    certs, _ = _scan(game, player_triangulations(game, resolutions, budget))
-    return certs
+    return _scan(game, player_triangulations(game, resolutions, budget))
 
 
 def _scan(
     game: Game, tris: tuple[Triangulation, ...]
-) -> tuple[list[PreEquilibriumCert], int]:
+) -> list[PreEquilibriumCert]:
     resolutions = tuple(t.resolution for t in tris)
     vertices = [t.vertices for t in tris]
+    # labels travel as flat indices; this table turns one back into a profile
+    pure = [
+        PureProfile(choices)
+        for choices in itertools.product(*(range(count) for count in game.shape))
+    ]
     memo: dict[tuple[int, ...], int] = {}
 
     def label_id(key: tuple[int, ...]) -> int:
@@ -96,36 +101,27 @@ def _scan(
 
     certs: list[PreEquilibriumCert] = []
     cells_per_player = [t.cells for t in tris]
-    scanned = 0
     for factor in itertools.product(*(range(len(c)) for c in cells_per_player)):
-        scanned += 1
         seen = 0
+        read = []
         for key in itertools.product(
             *(cells_per_player[j][c] for j, c in enumerate(factor))
         ):
-            bit = 1 << label_id(key)
+            flat = label_id(key)
+            bit = 1 << flat
             if seen & bit:
                 break
             seen |= bit
+            read.append(flat)
         else:
-            cell = build_product_cell(tris, factor)
-            labels = tuple(
-                _unflatten(game, label_id(key))
-                for key in itertools.product(
-                    *(cells_per_player[j][c] for j, c in enumerate(factor))
+            certs.append(
+                PreEquilibriumCert(
+                    cell=build_product_cell(tris, factor),
+                    labels=tuple(pure[flat] for flat in read),
+                    resolutions=resolutions,
                 )
             )
-            certs.append(
-                PreEquilibriumCert(cell=cell, labels=labels, resolutions=resolutions)
-            )
-    return certs, scanned
-
-
-def _unflatten(game: Game, flat: int) -> PureProfile:
-    choices = []
-    for stride, count in zip(game.strides, game.shape):
-        choices.append((flat // stride) % count)
-    return PureProfile(tuple(choices))
+    return certs
 
 
 def representative(cert: PreEquilibriumCert) -> MixedProfile:
@@ -226,7 +222,9 @@ def solve(
     for stage in range(max_stages):
         start = time.perf_counter()
         resolutions = (m,) * game.num_players
-        certs, scanned = _scan(game, player_triangulations(game, m, budget))
+        tris = player_triangulations(game, m, budget)
+        certs = _scan(game, tris)
+        scanned = math.prod(len(t.cells) for t in tris)
         total_cells += scanned
         if not certs:
             records.append(

@@ -1,13 +1,13 @@
-"""Staircase triangulations of strategy simplices and their products.
+"""Kuhn triangulations of strategy simplices and their products.
 
 A player's strategy simplex at resolution ``m`` is cut along the lattice
-of points with coordinates ``k/m``.  Cells come from the classic cube
-construction: map the simplex to monotone staircase coordinates
-``m >= z_1 >= ... >= z_d >= 0``, tile the cube with unit-cube simplices
-(one per base point and insertion order), and keep those whose vertices
-all stay monotone.  That yields ``m**d`` simplices on ``C(m+d, d)``
-lattice vertices, every cell with the same volume, and shared faces
-matching exactly — no hanging nodes.
+of points ``k/m``, with integer numerators ``k >= 0`` summing to ``m``.
+Cells are built in those numerators: from every lattice point with mass
+on coordinate 0, for every order of the axes ``1..d``, move one unit of
+mass from coordinate ``a - 1`` to coordinate ``a``; each walk in which no
+coordinate goes negative visits the vertices of one cell.  That yields
+``m**d`` simplices on ``C(m+d, d)`` lattice vertices, every cell with the
+same volume, and shared faces matching exactly — no hanging nodes.
 
 A product cell combines one cell per player; its vertex profiles are all
 combinations of the factor cells' vertices, which is exactly one profile
@@ -60,33 +60,14 @@ class Triangulation:
 
 
 def _lattice_vertices(dim: int, resolution: int) -> list[tuple[int, ...]]:
-    """Numerator vectors: nonnegative ints of length dim+1 summing to m."""
-    out = []
-
-    def fill(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for k in range(remaining + 1):
-            fill(prefix + [k], remaining - k, slots - 1)
-
-    fill([], resolution, dim + 1)
-    out.sort()
-    return out
-
-
-def _staircase_to_numerators(z: Sequence[int], resolution: int) -> tuple[int, ...]:
-    # z_1 >= ... >= z_d monotone; differences give the barycentric numerators
-    d = len(z)
-    coords = [resolution - z[0]]
-    for i in range(d - 1):
-        coords.append(z[i] - z[i + 1])
-    coords.append(z[d - 1])
-    return tuple(coords)
-
-
-def _is_monotone(z: Sequence[int]) -> bool:
-    return all(z[i] >= z[i + 1] for i in range(len(z) - 1))
+    """Numerator vectors of length dim+1 summing to m, in lexicographic order."""
+    if dim == 0:
+        return [(resolution,)]
+    return [
+        (k,) + rest
+        for k in range(resolution + 1)
+        for rest in _lattice_vertices(dim - 1, resolution - k)
+    ]
 
 
 def _coordinate(k: int, m: int) -> Scalar:
@@ -111,28 +92,21 @@ def triangulate(dim: int, resolution: int) -> Triangulation:
         tuple(_coordinate(k, m) for k in v) for v in numerators
     )
     cells: list[tuple[int, ...]] = []
-    if dim == 0:
-        cells.append((0,))
-    else:
-        for base in itertools.product(range(m), repeat=dim):
-            if not _is_monotone(base):
-                continue
-            for order in itertools.permutations(range(dim)):
-                walk = [tuple(base)]
-                cursor = list(base)
-                ok = True
-                for axis in order:
-                    cursor[axis] += 1
-                    if not _is_monotone(cursor):
-                        ok = False
-                        break
-                    walk.append(tuple(cursor))
-                if ok:
-                    cell = tuple(
-                        sorted(index[_staircase_to_numerators(z, m)] for z in walk)
-                    )
-                    cells.append(cell)
-    cells = sorted(set(cells))
+    for base in numerators:
+        if base[0] == 0:
+            continue
+        for order in itertools.permutations(range(1, dim + 1)):
+            point = list(base)
+            cell = [index[base]]
+            for axis in order:
+                point[axis - 1] -= 1
+                if point[axis - 1] < 0:
+                    break
+                point[axis] += 1
+                cell.append(index[tuple(point)])
+            else:
+                cells.append(tuple(sorted(cell)))
+    cells.sort()
     expected = m**dim
     assert len(cells) == expected, f"expected {expected} cells, built {len(cells)}"
     return Triangulation(
@@ -179,8 +153,9 @@ def player_triangulations(
     """One triangulation per player; a single int applies to everyone.
 
     Every grid in the package is built here.  A grid whose vertex profile
-    count exceeds ``budget`` (``None`` means :func:`default_budget`) is
-    refused with :class:`BudgetExceeded` before any triangulation exists:
+    count exceeds ``budget`` (``None`` means :func:`default_budget`; below 1
+    is :class:`ParameterOutOfRange`) is refused with
+    :class:`BudgetExceeded` before any triangulation exists:
     player ``i`` with ``k`` strategies has ``C(m_i + k - 1, k - 1)``
     lattice vertices, and the profiles are their product.
     """
@@ -196,6 +171,8 @@ def player_triangulations(
             raise ResolutionZero(f"resolution {m} must be >= 1")
     if budget is None:
         budget = default_budget()
+    elif budget < 1:
+        raise ParameterOutOfRange(f"budget {budget} must be >= 1")
     needed = math.prod(
         math.comb(m + count - 1, count - 1)
         for count, m in zip(game.shape, resolutions)
@@ -208,10 +185,7 @@ def player_triangulations(
 
 
 def vertex_profile_count(triangulations: Sequence[Triangulation]) -> int:
-    total = 1
-    for tri in triangulations:
-        total *= len(tri.vertices)
-    return total
+    return math.prod(len(tri.vertices) for tri in triangulations)
 
 
 def product_cells(

@@ -5,7 +5,7 @@ strategy with zero deviation gain.  The package pins one such function
 (cheapest supported deviation, lowest index on ties); any other choice
 among the zero-gain supported strategies is an equally valid root
 function.  This module recomputes both from ``Game.payoff`` and the
-staircase grid, without the package's labeling or search code, and
+Kuhn grid, without the package's labeling or search code, and
 answers two questions per grid:
 
 * which cells the pinned labels complete (what the scan must report);

@@ -153,6 +153,26 @@ def test_bad_budget_env_is_json_input_error(capsys, monkeypatch, argv):
     assert json.loads(out)["error"]["code"] == "parameter-out-of-range"
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        pytest.param(("solve", MP, "--eps", "1", "--budget", "0"), None, id="solve-0"),
+        pytest.param(("solve", MP, "--eps", "1", "--budget", "-5"), None, id="solve-minus-5"),
+        pytest.param(("cells", MP, "--m", "2", "--budget", "0"), None, id="cells-0"),
+        pytest.param(("oracle", MP, "--m", "2", "--budget", "-5"), None, id="oracle-minus-5"),
+        pytest.param(("solve", MP, "--eps", "1"), "0", id="env-0"),
+    ],
+)
+def test_budget_below_one_is_parameter_out_of_range(capsys, monkeypatch, argv, env):
+    if env is not None:
+        monkeypatch.setenv("NASH_BUDGET", env)
+    code, out = run(capsys, *argv)
+    assert code == EXIT_INPUT_ERROR
+    error = json.loads(out)["error"]
+    assert error["code"] == "parameter-out-of-range"
+    assert error["message"].endswith("must be >= 1")
+
+
 def test_volume_check_rejects_two_player_games(capsys):
     code, out = run(capsys, "volume-check", MP, "--m", "2")
     assert code == EXIT_INPUT_ERROR
@@ -197,6 +217,17 @@ def test_missing_game_file_is_input_error(capsys):
     assert "/no/such/file.json" in data["error"]["message"]
 
 
+def test_non_utf8_game_file_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    with open(MP, encoding="utf-8") as handle:
+        path.write_bytes(handle.read().encode("utf-16"))  # starts ff fe
+    code, out = run(capsys, "solve", str(path), "--eps", "1")
+    assert code == EXIT_INPUT_ERROR
+    data = json.loads(out)
+    assert data["error"]["code"] == "parse-error"
+    assert str(path) in data["error"]["message"]
+
+
 def test_bad_profile_is_input_error(capsys):
     code, out = run(capsys, "eval", MP, "--profile", "[[1, 0]]")
     assert code == EXIT_INPUT_ERROR
@@ -235,5 +266,27 @@ def test_rational_mode_rejects_float_literals(capsys, tmp_path):
     game = make_game((2, 2), BATTLE_OF_SEXES.payoffs, "bos")
     path.write_text(serialize_game(game))
     code, out = run(capsys, "eval", str(path), "--profile", "[[0.5, 0.5], [0.5, 0.5]]")
+    assert code == EXIT_INPUT_ERROR
+    assert json.loads(out)["error"]["code"] == "parse-error"
+
+
+@pytest.mark.parametrize(
+    "payoff, eps",
+    [
+        pytest.param("NaN", "1", id="nan"),
+        pytest.param("Infinity", "1", id="infinity"),
+        pytest.param("1e400", "1", id="float-1e400"),
+        pytest.param("1" * 401, "1", id="401-digit-int"),
+        pytest.param('"1e400"', "1", id="string-1e400"),
+        pytest.param("1", "1e400", id="eps-1e400"),
+    ],
+)
+def test_float_mode_rejects_non_finite_numbers(capsys, tmp_path, payoff, eps):
+    path = tmp_path / "g.json"
+    path.write_text(
+        '{"strategies": [["H", "T"], ["H", "T"]], '
+        f'"payoffs": [[{payoff}, -1, -1, 1], [-1, 1, 1, -1]]}}'
+    )
+    code, out = run(capsys, "--mode", "float", "solve", str(path), "--eps", eps)
     assert code == EXIT_INPUT_ERROR
     assert json.loads(out)["error"]["code"] == "parse-error"

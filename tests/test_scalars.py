@@ -51,6 +51,30 @@ def test_float_allowed_in_float_mode():
         assert scalars.parse_scalar("1/4") == 0.25
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        float("nan"),
+        float("inf"),
+        float("-inf"),
+        pytest.param(10**400, id="int-1e400"),
+        pytest.param(-(10**400), id="int-minus-1e400"),
+        "1e400",
+        "-1e400",
+        pytest.param(Fraction(10**400, 3), id="fraction-1e400/3"),
+    ],
+)
+def test_float_mode_rejects_non_finite_and_overflowing_values(value):
+    with scalars.numeric_mode(scalars.FLOAT):
+        with pytest.raises(errors.ParseError):
+            scalars.parse_scalar(value)
+
+
+def test_rational_mode_keeps_large_values_exact():
+    assert scalars.parse_scalar(10**400) == 10**400
+    assert scalars.parse_scalar("1e400") == 10**400
+
+
 def test_mode_context_restores():
     assert scalars.get_numeric_mode() == scalars.RATIONAL
     with scalars.numeric_mode(scalars.FLOAT):

@@ -1,5 +1,6 @@
 """Simplex grids: vertex/cell counts, geometry, and product cells."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -62,6 +63,51 @@ def test_dim_zero_single_point():
     tri = triangulate(0, 3)
     assert tri.vertices == ((1,),)
     assert tri.cells == ((0,),)
+
+
+def staircase_cells(dim, m):
+    """Reference cells from the cube construction: map the simplex to
+    staircase coordinates ``m >= z_1 >= ... >= z_d >= 0``, walk every unit
+    cube from every base point in every axis order, and keep the walks
+    that stay monotone.  Vertex indices follow lexicographic numerators."""
+    lattice = sorted(
+        k for k in itertools.product(range(m + 1), repeat=dim + 1) if sum(k) == m
+    )
+    index = {k: i for i, k in enumerate(lattice)}
+
+    def numerators(z):
+        return tuple([m - z[0]] + [z[i] - z[i + 1] for i in range(dim - 1)] + [z[-1]])
+
+    def monotone(z):
+        return all(a >= b for a, b in zip(z, z[1:]))
+
+    if dim == 0:
+        return ((0,),)
+    cells = set()
+    for base in itertools.product(range(m), repeat=dim):
+        if not monotone(base):
+            continue
+        for order in itertools.permutations(range(dim)):
+            walk = [base]
+            cursor = list(base)
+            for axis in order:
+                cursor[axis] += 1
+                if not monotone(cursor):
+                    break
+                walk.append(tuple(cursor))
+            else:
+                cells.add(tuple(sorted(index[numerators(z)] for z in walk)))
+    return tuple(sorted(cells))
+
+
+@pytest.mark.parametrize("dim", range(5))
+def test_cells_match_staircase_reference_in_order(dim):
+    # cell order fixes certificate order, and with it solve's tie-break
+    for m in range(1, 9):
+        tri = triangulate(dim, m)
+        assert tri.cells == staircase_cells(dim, m), (dim, m)
+        numerators = [tuple(int(x * m) for x in v) for v in tri.vertices]
+        assert numerators == sorted(numerators)
 
 
 @given(st.integers(1, 3), st.integers(1, 5))
@@ -208,6 +254,20 @@ def test_budget_refuses_grid_before_building_it(mp, monkeypatch):
         with pytest.raises(errors.BudgetExceeded) as info:
             call()
         assert info.value.needed == 201**2
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_rejected(mp, budget):
+    calls = (
+        lambda: player_triangulations(mp, 2, budget=budget),
+        lambda: find_pre_equilibria(mp, 2, budget=budget),
+        lambda: solve(mp, 1, budget=budget),
+        lambda: grid_min_regret(mp, 2, budget=budget),
+    )
+    for call in calls:
+        with pytest.raises(errors.ParameterOutOfRange) as info:
+            call()
+        assert str(info.value) == f"budget {budget} must be >= 1"
 
 
 def test_build_product_cell_orders_profiles_lexicographically():
