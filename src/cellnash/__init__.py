@@ -42,7 +42,7 @@ from .gamefile import (
     report_json,
     serialize_game,
 )
-from .labeling import check_root_properties, root_label, root_motion
+from .labeling import check_root_properties, grid_labels, root_label, root_motion
 from .oracle import (
     OracleResult,
     SupportEnumerationResult,
@@ -65,6 +65,7 @@ from .search import (
     classify_cell,
     find_pre_equilibria,
     representative,
+    scan_cells,
     solve,
 )
 from .subdivision import (
@@ -80,6 +81,7 @@ from .volume import (
     VolumePolynomial,
     cell_volume_polynomial,
     moved_cell_volume,
+    moved_volumes,
     total_volume_polynomial,
 )
 
@@ -125,11 +127,13 @@ __all__ = [
     "find_pre_equilibria",
     "gain_table",
     "get_numeric_mode",
+    "grid_labels",
     "grid_min_regret",
     "is_equilibrium",
     "load_report",
     "max_regret",
     "moved_cell_volume",
+    "moved_volumes",
     "numeric_mode",
     "parse_game",
     "parse_profile",
@@ -139,6 +143,7 @@ __all__ = [
     "representative",
     "root_label",
     "root_motion",
+    "scan_cells",
     "serialize_game",
     "set_numeric_mode",
     "solve",

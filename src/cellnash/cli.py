@@ -22,7 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import scalars
-from .errors import CellNashError, ParseError
+from .errors import CellNashError, ParameterOutOfRange, ParseError
 from .game import Game, gain_table
 from .gamefile import (
     gain_table_json,
@@ -33,9 +33,9 @@ from .gamefile import (
 )
 from .labeling import root_label
 from .oracle import grid_min_regret, support_enumeration_2p, verify_profile
-from .search import find_pre_equilibria, representative, solve
+from .search import find_pre_equilibria, representative, scan_cells, solve
 from .subdivision import cell_diameter, player_triangulations
-from .volume import moved_cell_volume, total_volume_polynomial
+from .volume import moved_volumes, total_volume_polynomial
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -53,8 +53,18 @@ def _read_game(path: str) -> Game:
     return parse_game(text)
 
 
+def _dumps(data: dict) -> str:
+    # float mode can overflow to inf (or nan), which JSON cannot carry
+    try:
+        return json.dumps(data, indent=2, allow_nan=False) + "\n"
+    except ValueError:
+        raise ParameterOutOfRange(
+            "result is not a finite number: float arithmetic overflowed"
+        ) from None
+
+
 def _emit(data: dict) -> None:
-    sys.stdout.write(json.dumps(data, indent=2) + "\n")
+    sys.stdout.write(_dumps(data))
 
 
 def _emit_error(exc: CellNashError) -> int:
@@ -81,11 +91,12 @@ def _cmd_solve(args) -> int:
         max_stages=args.max_stages,
         budget=args.budget,
     )
-    _emit(report_json(report, game, include_timing=False))
-    if args.out:
+    text = _dumps(report_json(report, game, include_timing=False))
+    full = _dumps(report_json(report, game, include_timing=True)) if args.out else None
+    sys.stdout.write(text)
+    if full is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
-            json.dump(report_json(report, game, include_timing=True), handle, indent=2)
-            handle.write("\n")
+            handle.write(full)
     return EXIT_OK if report.converged else EXIT_NOT_MET
 
 
@@ -147,9 +158,7 @@ def _cmd_volume_check(args) -> int:
     # not-single-player error in total_volume_polynomial
     tri = player_triangulations(game, args.m)[0]
     result = total_volume_polynomial(game, tri)
-    cert_cells = [
-        cert.cell.factor[0] for cert in find_pre_equilibria(game, args.m)
-    ]
+    cert_cells = [cert.cell.factor[0] for cert in scan_cells(game, (tri,))]
     all_certified = all(
         idx in cert_cells for idx in result.nonzero_cells_at_one
     )
@@ -160,8 +169,7 @@ def _cmd_volume_check(args) -> int:
             handle.write("t,g_total,cell_index,cell_value\n")
             for t in samples:
                 g_total = result.value_at(t)
-                for idx in range(len(tri.cells)):
-                    value = moved_cell_volume(game, tri, idx, t)
+                for idx, value in enumerate(moved_volumes(game, tri, t)):
                     handle.write(
                         f"{scalars.format_scalar(t)},"
                         f"{scalars.format_scalar(g_total)},"

@@ -56,7 +56,7 @@ class ResolutionZero(CellNashError, ValueError):
 
 
 class BudgetExceeded(CellNashError):
-    """The vertex-profile budget would be exceeded by this grid."""
+    """The grid has more vertex profiles or product cells than the budget."""
 
     code = "budget-exceeded"
 
@@ -64,7 +64,7 @@ class BudgetExceeded(CellNashError):
         self.needed = needed
         self.budget = budget
         super().__init__(
-            f"grid needs {needed} vertex profiles, budget is {budget}"
+            f"grid needs {needed} vertex profiles or cells, budget is {budget}"
         )
 
 

@@ -22,7 +22,7 @@ from .search import CellClassification, SolveReport, StageRecord
 def parse_game(text: str) -> Game:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ParseError("game file must be a JSON object")
@@ -85,7 +85,7 @@ def serialize_game(game: Game) -> str:
 def parse_profile(text: str, game: Game) -> MixedProfile:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ParseError(f"invalid profile JSON: {exc}") from None
     if not isinstance(raw, list) or len(raw) != game.num_players:
         raise ParseError(
@@ -190,7 +190,7 @@ def _package_version() -> str:
 def load_report(text: str) -> dict:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an over-long integer
         raise ParseError(f"invalid report JSON: {exc}") from None
     if not isinstance(raw, dict) or "final" not in raw:
         raise ParseError("report must be an object with a 'final' section")

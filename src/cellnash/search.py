@@ -1,10 +1,11 @@
 """Search for completely labeled cells and the resolution-refinement loop.
 
 A product cell is a certificate when the labels of its vertex profiles
-hit every pure strategy combination exactly once.  The scan memoizes one
-label per lattice vertex profile (cells share vertices), aborts a cell on
-the first repeated label, and walks cells in lexicographic order so the
-output order — and therefore every downstream tie-break — is reproducible.
+hit every pure strategy combination exactly once.  The scan labels the
+whole grid once (cells share vertices), reads a cell's labels at sums of
+per-player offsets into that flat list, aborts a cell on the first
+repeated label, and walks cells in lexicographic order so the output
+order — and therefore every downstream tie-break — is reproducible.
 
 ``solve`` refines the grid geometrically, keeps the certificate whose
 barycenter has the smallest total gain, and stops once the barycenter's
@@ -25,7 +26,8 @@ from typing import Optional, Sequence
 from . import scalars
 from .errors import NegativeEpsilon, NoPreEquilibriumFound, ParameterOutOfRange, ResolutionZero
 from .game import Game, GainTable, MixedProfile, PureProfile, gain_table
-from .labeling import root_label
+from .labeling import grid_labels
+from .labeling import root_label  # noqa: F401  perfbench's tracer test reads search.root_label
 from .scalars import Scalar
 from .subdivision import (
     ProductCell,
@@ -73,41 +75,36 @@ def find_pre_equilibria(
 ) -> list[PreEquilibriumCert]:
     """All certificates at the given per-player resolutions, in
     lexicographic cell order.  An empty list is a legitimate outcome."""
-    return _scan(game, player_triangulations(game, resolutions, budget))
+    return scan_cells(game, player_triangulations(game, resolutions, budget))
 
 
-def _scan(
-    game: Game, tris: tuple[Triangulation, ...]
+def scan_cells(
+    game: Game, tris: Sequence[Triangulation]
 ) -> list[PreEquilibriumCert]:
+    """All certificates of the grid the triangulations (one per player,
+    from :func:`~cellnash.subdivision.player_triangulations`) span."""
     resolutions = tuple(t.resolution for t in tris)
-    vertices = [t.vertices for t in tris]
     # labels travel as flat indices; this table turns one back into a profile
     pure = [
         PureProfile(choices)
         for choices in itertools.product(*(range(count) for count in game.shape))
     ]
-    memo: dict[tuple[int, ...], int] = {}
-
-    def label_id(key: tuple[int, ...]) -> int:
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        profile = MixedProfile(
-            tuple(vertices[j][v] for j, v in enumerate(key))
-        )
-        flat = game.flat_index(root_label(game, profile).choices)
-        memo[key] = flat
-        return flat
+    labels = grid_labels(game, tris)
+    # a cell's vertices as offsets into the label list: vertex index times
+    # the product of the later players' vertex counts
+    offsets = []
+    for j, tri in enumerate(tris):
+        step = math.prod(len(t.vertices) for t in tris[j + 1 :])
+        offsets.append([tuple(v * step for v in cell) for cell in tri.cells])
 
     certs: list[PreEquilibriumCert] = []
-    cells_per_player = [t.cells for t in tris]
-    for factor in itertools.product(*(range(len(c)) for c in cells_per_player)):
+    for factor in itertools.product(*(range(len(t.cells)) for t in tris)):
         seen = 0
         read = []
-        for key in itertools.product(
-            *(cells_per_player[j][c] for j, c in enumerate(factor))
+        for parts in itertools.product(
+            *(offsets[j][c] for j, c in enumerate(factor))
         ):
-            flat = label_id(key)
+            flat = labels[sum(parts)]
             bit = 1 << flat
             if seen & bit:
                 break
@@ -223,7 +220,7 @@ def solve(
         start = time.perf_counter()
         resolutions = (m,) * game.num_players
         tris = player_triangulations(game, m, budget)
-        certs = _scan(game, tris)
+        certs = scan_cells(game, tris)
         scanned = math.prod(len(t.cells) for t in tris)
         total_cells += scanned
         if not certs:

@@ -31,7 +31,8 @@ DEFAULT_BUDGET = 10_000_000
 
 
 def default_budget() -> int:
-    """The vertex-profile cap: ``NASH_BUDGET`` if set, else ``DEFAULT_BUDGET``."""
+    """The cap on vertex profiles and product cells: ``NASH_BUDGET`` if
+    set, else ``DEFAULT_BUDGET``."""
     raw = os.environ.get("NASH_BUDGET")
     if raw is None:
         return DEFAULT_BUDGET
@@ -153,11 +154,12 @@ def player_triangulations(
     """One triangulation per player; a single int applies to everyone.
 
     Every grid in the package is built here.  A grid whose vertex profile
-    count exceeds ``budget`` (``None`` means :func:`default_budget`; below 1
-    is :class:`ParameterOutOfRange`) is refused with
-    :class:`BudgetExceeded` before any triangulation exists:
+    count or product cell count exceeds ``budget`` (``None`` means
+    :func:`default_budget`; below 1 is :class:`ParameterOutOfRange`) is
+    refused with :class:`BudgetExceeded` before any triangulation exists:
     player ``i`` with ``k`` strategies has ``C(m_i + k - 1, k - 1)``
-    lattice vertices, and the profiles are their product.
+    lattice vertices and ``m_i ** (k - 1)`` cells, and the profiles and
+    product cells are their products.  ``needed`` is the larger count.
     """
     if isinstance(resolutions, int):
         resolutions = (resolutions,) * game.num_players
@@ -173,10 +175,12 @@ def player_triangulations(
         budget = default_budget()
     elif budget < 1:
         raise ParameterOutOfRange(f"budget {budget} must be >= 1")
-    needed = math.prod(
+    profiles = math.prod(
         math.comb(m + count - 1, count - 1)
         for count, m in zip(game.shape, resolutions)
     )
+    cells = math.prod(m ** (count - 1) for count, m in zip(game.shape, resolutions))
+    needed = max(profiles, cells)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
     return tuple(

@@ -21,7 +21,7 @@ from typing import Sequence
 
 from .errors import NotSinglePlayer, ParameterOutOfRange
 from .game import Game, MixedProfile
-from .labeling import root_label
+from .labeling import grid_labels, root_label
 from .linalg import determinant
 from .scalars import Scalar
 from .subdivision import Triangulation
@@ -80,19 +80,22 @@ def _poly_det(matrix: list[list[Poly]]) -> Poly:
     return total
 
 
-def _single_player_vertices(game: Game, tri: Triangulation, cell_index: int):
+def _check_single_player(game: Game) -> None:
     if game.num_players != 1:
         raise NotSinglePlayer(
             f"volume bookkeeping needs 1 player, game has {game.num_players}"
         )
+
+
+def _single_player_cell(game: Game, tri: Triangulation, cell_index: int):
+    _check_single_player(game)
     if not 0 <= cell_index < len(tri.cells):
         raise ParameterOutOfRange(f"cell index {cell_index} out of range")
     cell = tri.cells[cell_index]
-    vertices = [tri.vertices[v] for v in cell]
     labels = [
-        root_label(game, MixedProfile((vertex,))).choices[0] for vertex in vertices
+        root_label(game, MixedProfile((tri.vertices[v],))).choices[0] for v in cell
     ]
-    return vertices, labels
+    return cell, labels
 
 
 def _moved_coordinate_polys(
@@ -112,8 +115,16 @@ def cell_volume_polynomial(
 ) -> Poly:
     """Signed volume of the moved cell as an exact polynomial in ``t``,
     oriented so the value at ``t = 0`` is positive."""
-    vertices, labels = _single_player_vertices(game, tri, cell_index)
-    moved = [_moved_coordinate_polys(v, lab) for v, lab in zip(vertices, labels)]
+    return _volume_polynomial(tri, *_single_player_cell(game, tri, cell_index))
+
+
+def _volume_polynomial(
+    tri: Triangulation, cell: Sequence[int], labels: Sequence[int]
+) -> Poly:
+    # labels[k] is the label of vertex cell[k]
+    moved = [
+        _moved_coordinate_polys(tri.vertices[v], lab) for v, lab in zip(cell, labels)
+    ]
     dim = tri.dim
     if dim == 0:
         return (Fraction(1),)
@@ -139,10 +150,27 @@ def moved_cell_volume(
     numeric determinant rather than the polynomial form."""
     if not 0 <= t <= 1:
         raise ParameterOutOfRange(f"t={t} outside [0, 1]")
-    vertices, labels = _single_player_vertices(game, tri, cell_index)
+    return _moved_volume(tri, *_single_player_cell(game, tri, cell_index), t)
+
+
+def moved_volumes(game: Game, tri: Triangulation, t: Scalar) -> tuple[Scalar, ...]:
+    """:func:`moved_cell_volume` of every cell, from one labeling of the grid."""
+    if not 0 <= t <= 1:
+        raise ParameterOutOfRange(f"t={t} outside [0, 1]")
+    _check_single_player(game)
+    labels = grid_labels(game, (tri,))
+    return tuple(
+        _moved_volume(tri, cell, [labels[v] for v in cell], t) for cell in tri.cells
+    )
+
+
+def _moved_volume(
+    tri: Triangulation, cell: Sequence[int], labels: Sequence[int], t: Scalar
+) -> Scalar:
     dim = tri.dim
     if dim == 0:
         return 1
+    vertices = [tri.vertices[v] for v in cell]
 
     def moved_point(vertex, label):
         return [
@@ -182,9 +210,12 @@ class VolumePolynomial:
 
 def total_volume_polynomial(game: Game, tri: Triangulation) -> VolumePolynomial:
     """Per-cell polynomials, their sum, and the cells still spanning
-    volume at ``t = 1``."""
+    volume at ``t = 1``.  The grid is labeled once, by
+    :func:`~cellnash.labeling.grid_labels`."""
+    _check_single_player(game)
+    labels = grid_labels(game, (tri,))
     polys = tuple(
-        cell_volume_polynomial(game, tri, idx) for idx in range(len(tri.cells))
+        _volume_polynomial(tri, cell, [labels[v] for v in cell]) for cell in tri.cells
     )
     total: Poly = (Fraction(0),)
     for p in polys:

@@ -6,7 +6,9 @@ corpus; failures therefore name reproducible games.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -108,6 +110,68 @@ def corpus_games(count=50):
         random_game(rng, shapes[i % len(shapes)], name=f"corpus-{i}")
         for i in range(count)
     ]
+
+
+def label_corpus():
+    """(game, m) pairs for checking the grid labeler and the scan against
+    their references: the fixture suite at m in {1, 2, 3, 4, 8} (m <= 4
+    for three players), plus seeded games of other shapes with integer,
+    rational and {-1, 0, 1} payoffs (the last tie often)."""
+    cases = []
+    for game in fixture_suite():
+        for m in (1, 2, 3, 4) if game.num_players == 3 else (1, 2, 3, 4, 8):
+            cases.append((game, m))
+    rng = random.Random(FIXTURE_SEED)
+    draws = {
+        "int": lambda: rng.randint(-5, 5),
+        "rational": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        "unit": lambda: rng.choice((-1, 0, 1)),
+    }
+    shapes = {
+        (3, 3): (1, 2, 4),
+        (2, 3): (2, 3, 5),
+        (4, 2): (1, 2, 3),
+        (1, 3): (2, 4, 8),
+        (2,): (1, 4, 8),
+        (3,): (2, 4, 8),
+        (3, 2, 2): (1, 2),
+        (2, 2, 2, 2): (1, 2),
+    }
+    for shape, resolutions in shapes.items():
+        size = math.prod(shape)
+        for kind, draw in draws.items():
+            payoffs = tuple(tuple(draw() for _ in range(size)) for _ in shape)
+            game = make_game(shape, payoffs, name=f"{'x'.join(map(str, shape))}-{kind}")
+            cases.extend((game, m) for m in resolutions)
+    return cases
+
+
+def as_float_game(game):
+    """The same game with float payoffs; build it in float mode."""
+    return Game(
+        strategy_names=game.strategy_names,
+        payoffs=tuple(tuple(float(v) for v in tensor) for tensor in game.payoffs),
+        name=game.name,
+    )
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` in every loaded ``cellnash`` module that binds it
+    and return the list the wrapper appends one entry to per call."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] != "cellnash":
+            continue
+        for attr, value in list(vars(mod).items()):
+            if value is original:
+                monkeypatch.setattr(mod, attr, counted)
+    return calls
 
 
 def random_profile(game, rng, denominator=12):

@@ -5,10 +5,10 @@ import os
 
 import pytest
 
-from cellnash import scalars, serialize_game
+from cellnash import labeling, scalars, serialize_game, subdivision
 from cellnash.cli import EXIT_INPUT_ERROR, EXIT_NOT_MET, EXIT_OK, run_cli
 
-from conftest import BATTLE_OF_SEXES, make_game
+from conftest import BATTLE_OF_SEXES, count_calls, make_game
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 MP = os.path.join(DATA, "matching_pennies.json")
@@ -127,6 +127,23 @@ def test_volume_check_constant(capsys, tmp_path):
     assert all(line.split(",")[1] == "1" for line in lines[1:])
 
 
+def test_volume_check_builds_its_grid_once(capsys, monkeypatch, tmp_path):
+    triangulations = count_calls(monkeypatch, subdivision, "triangulate")
+    root_labels = count_calls(monkeypatch, labeling, "root_label")
+    grid_labelings = count_calls(monkeypatch, labeling, "grid_labels")
+    csv_path = tmp_path / "samples.csv"
+    code, out = run(
+        capsys, "volume-check", ONE, "--m", "8", "--samples-out", str(csv_path)
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["cells"] == 8
+    assert len(triangulations) == 1
+    assert root_labels == []
+    # whole-grid labelings: the volume polynomials, the certificate scan
+    # and one per sample point (dim + 3 = 4 of them)
+    assert len(grid_labelings) == 2 + 4
+
+
 def test_volume_check_refuses_grid_before_any_volume_work(capsys, monkeypatch):
     def no_volumes(game, tri):
         raise AssertionError("volume polynomials computed on an over-budget grid")
@@ -228,6 +245,18 @@ def test_non_utf8_game_file_is_parse_error(capsys, tmp_path):
     assert str(path) in data["error"]["message"]
 
 
+def test_over_long_integer_is_parse_error(capsys, tmp_path):
+    # 5000 digits: beyond Python's default int-from-string limit of 4300
+    path = tmp_path / "big.json"
+    path.write_text('{"strategies": [["a", "b"]], "payoffs": [[%s, 0]]}' % ("1" * 5000))
+    code, out = run(capsys, "solve", str(path), "--eps", "1")
+    assert code == EXIT_INPUT_ERROR
+    assert json.loads(out)["error"]["code"] == "parse-error"
+    code, out = run(capsys, "eval", MP, "--profile", "[[%s, 0], [1, 0]]" % ("1" * 5000))
+    assert code == EXIT_INPUT_ERROR
+    assert json.loads(out)["error"]["code"] == "parse-error"
+
+
 def test_bad_profile_is_input_error(capsys):
     code, out = run(capsys, "eval", MP, "--profile", "[[1, 0]]")
     assert code == EXIT_INPUT_ERROR
@@ -290,3 +319,26 @@ def test_float_mode_rejects_non_finite_numbers(capsys, tmp_path, payoff, eps):
     code, out = run(capsys, "--mode", "float", "solve", str(path), "--eps", eps)
     assert code == EXIT_INPUT_ERROR
     assert json.loads(out)["error"]["code"] == "parse-error"
+
+
+def test_float_overflow_is_parameter_out_of_range(capsys, tmp_path):
+    # finite payoffs whose gains overflow to inf, which JSON cannot carry
+    one = tmp_path / "huge.json"
+    one.write_text('{"strategies": [["a", "b"]], "payoffs": [[1e308, -1e308]]}')
+    code, out = run(capsys, "--mode", "float", "eval", str(one), "--profile", "[[0, 1]]")
+    assert code == EXIT_INPUT_ERROR
+    assert json.loads(out)["error"]["code"] == "parameter-out-of-range"
+    # at m=1 both players gain 1e308 at the uniform profile: the total is inf
+    two = tmp_path / "huge2.json"
+    two.write_text(
+        '{"strategies": [["a", "b"], ["c", "d"]], '
+        '"payoffs": [[1e308, 1e308, -1e308, -1e308], [1e308, -1e308, 1e308, -1e308]]}'
+    )
+    report = tmp_path / "report.json"
+    code, out = run(
+        capsys, "--mode", "float", "solve", str(two), "--eps", "1", "--m0", "1",
+        "--out", str(report),
+    )
+    assert code == EXIT_INPUT_ERROR
+    assert json.loads(out)["error"]["code"] == "parameter-out-of-range"
+    assert not report.exists()

@@ -163,3 +163,14 @@ def test_load_report_rejects_non_reports():
         load_report("[]")
     with pytest.raises(errors.ParseError):
         load_report("{nope")
+
+
+def test_over_long_integers_are_parse_errors():
+    # json.loads raises a plain ValueError past Python's 4300-digit limit
+    huge = "1" * 5000
+    with pytest.raises(errors.ParseError):
+        parse_game('{"strategies": [["a", "b"]], "payoffs": [[%s, 0]]}' % huge)
+    with pytest.raises(errors.ParseError):
+        parse_profile("[[%s, 0], [1, 0]]" % huge, MATCHING_PENNIES)
+    with pytest.raises(errors.ParseError):
+        load_report('{"final": %s}' % huge)

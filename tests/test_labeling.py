@@ -1,5 +1,6 @@
 """Root labels and the straight-line motion toward them."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -14,12 +15,14 @@ from cellnash import (
     errors,
     evaluate_payoff,
     gain_table,
+    grid_labels,
+    player_triangulations,
     root_label,
     root_motion,
     scalars,
 )
 
-from conftest import random_game, random_profile
+from conftest import as_float_game, label_corpus, random_game, random_profile
 
 
 def test_label_forced_by_singleton_supports(mp):
@@ -46,6 +49,50 @@ def test_float_label_ignores_differences_within_tolerance():
     )
     half = MixedProfile(((Fraction(1, 2), Fraction(1, 2)),))
     assert root_label(exact, half).choices == (0,)
+
+
+def reference_grid_labels(game, tris):
+    # root_label at every vertex profile, row-major over the vertex lists
+    return [
+        game.flat_index(root_label(game, MixedProfile(combo)).choices)
+        for combo in itertools.product(*(t.vertices for t in tris))
+    ]
+
+
+@pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.FLOAT])
+def test_grid_labels_match_root_label_everywhere(mode):
+    with scalars.numeric_mode(mode):
+        for game, m in label_corpus():
+            if mode == scalars.FLOAT:
+                game = as_float_game(game)
+            tris = player_triangulations(game, m)
+            assert grid_labels(game, tris) == reference_grid_labels(game, tris), (
+                game.name,
+                m,
+            )
+
+
+def test_float_grid_labels_ignore_differences_within_tolerance():
+    # player 0's deviation payoffs differ by about one ulp (0.1 + 0.2 vs
+    # 0.3): a tie, so every profile labels player 0 with strategy 0
+    third = 0.1 + 0.2
+    with scalars.numeric_mode(scalars.FLOAT):
+        games = (
+            Game(strategy_names=(("s1", "s2"),), payoffs=((third, 0.3),)),
+            Game(
+                strategy_names=(("a", "b"), ("c", "d")),
+                payoffs=((third, third, 0.3, 0.3), (0.0, 1.0, 0.0, 1.0)),
+            ),
+        )
+        for game in games:
+            for m in (2, 4):
+                tris = player_triangulations(game, m)
+                labels = grid_labels(game, tris)
+                assert labels == reference_grid_labels(game, tris)
+                profiles = itertools.product(*(t.vertices for t in tris))
+                for flat, combo in zip(labels, profiles):
+                    if combo[0][0] > 0:  # strategy 0 in player 0's support
+                        assert flat // game.strides[0] == 0
 
 
 def test_label_one_player_picks_minimum():

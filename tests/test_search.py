@@ -1,5 +1,8 @@
 """Certificate scan, cell classification, and the refinement loop."""
 
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,28 +10,40 @@ import pytest
 from cellnash import (
     Game,
     MixedProfile,
+    PureProfile,
     classify_cell,
     errors,
     find_pre_equilibria,
+    game as game_module,
     gain_table,
+    labeling,
     max_regret,
+    player_triangulations,
     representative,
+    root_label,
+    scalars,
     solve,
 )
 from cellnash.search import (
     PLAYER_UP_EVERYWHERE,
     SOME_PLAYER_NOT_UP,
+    PreEquilibriumCert,
     default_budget,
 )
-from cellnash.subdivision import product_cells
+from cellnash.subdivision import build_product_cell, product_cells
 
 from conftest import (
     BATTLE_OF_SEXES,
     MATCHING_PENNIES,
     PRISONERS_DILEMMA,
     ROCK_PAPER_SCISSORS,
+    FIXTURE_SEED,
+    as_float_game,
+    count_calls,
+    label_corpus,
     make_game,
     payoff_range,
+    random_game,
 )
 
 UNIFORM_2X2 = MixedProfile(
@@ -42,6 +57,72 @@ BOUNDARY_TIE_GAME = Game(
     payoffs=((5, 0, -3, 0), (-4, 0, -5, 0)),
     name="boundary-tie",
 )
+
+
+def reference_scan(game, resolutions):
+    """The scan as it was before grid labeling: one memoized ``root_label``
+    call per vertex profile a cell reaches, keyed by vertex indices."""
+    tris = player_triangulations(game, resolutions)
+    vertices = [t.vertices for t in tris]
+    pure = [
+        PureProfile(choices)
+        for choices in itertools.product(*(range(count) for count in game.shape))
+    ]
+    memo = {}
+
+    def label_id(key):
+        if key not in memo:
+            profile = MixedProfile(tuple(vertices[j][v] for j, v in enumerate(key)))
+            memo[key] = game.flat_index(root_label(game, profile).choices)
+        return memo[key]
+
+    certs = []
+    cells_per_player = [t.cells for t in tris]
+    for factor in itertools.product(*(range(len(c)) for c in cells_per_player)):
+        seen = 0
+        read = []
+        for key in itertools.product(
+            *(cells_per_player[j][c] for j, c in enumerate(factor))
+        ):
+            flat = label_id(key)
+            if seen & (1 << flat):
+                break
+            seen |= 1 << flat
+            read.append(flat)
+        else:
+            certs.append(
+                PreEquilibriumCert(
+                    cell=build_product_cell(tris, factor),
+                    labels=tuple(pure[flat] for flat in read),
+                    resolutions=tuple(t.resolution for t in tris),
+                )
+            )
+    return certs
+
+
+@pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.FLOAT])
+def test_scan_matches_reference_scan(mode):
+    with scalars.numeric_mode(mode):
+        for game, m in label_corpus():
+            if mode == scalars.FLOAT:
+                game = as_float_game(game)
+            assert find_pre_equilibria(game, m) == reference_scan(game, m), (
+                game.name,
+                m,
+            )
+
+
+def test_scan_labels_each_grid_once_per_player(monkeypatch):
+    game = random_game(random.Random(FIXTURE_SEED), (3, 3))
+    root_calls = count_calls(monkeypatch, labeling, "root_label")
+    deviation_calls = count_calls(monkeypatch, game_module, "deviation_payoffs")
+    find_pre_equilibria(game, 8)
+    assert root_calls == []
+    # one deviation vector per player and per vertex of the other player
+    vertex_counts = [math.comb(8 + 2, 2)] * 2
+    assert len(deviation_calls) <= sum(
+        math.prod(vertex_counts[:i] + vertex_counts[i + 1 :]) for i in range(2)
+    )
 
 
 def test_full_cell_at_m1_is_always_a_cert(mp, pd, bos):

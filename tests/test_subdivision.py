@@ -256,6 +256,26 @@ def test_budget_refuses_grid_before_building_it(mp, monkeypatch):
         assert info.value.needed == 201**2
 
 
+def test_budget_bounds_the_cell_walk(monkeypatch):
+    # 3x3 at m=64: 2145**2 = 4,601,025 vertex profiles pass 10**7, but the
+    # scan would walk 64**2 * 64**2 = 16,777,216 product cells
+    def no_grid(dim, resolution):
+        raise AssertionError("triangulated an over-budget grid")
+
+    monkeypatch.setattr(subdivision, "triangulate", no_grid)
+    monkeypatch.delenv("NASH_BUDGET", raising=False)
+    game = make_game((3, 3), ((0,) * 9, (0,) * 9))
+    for call in (
+        lambda: player_triangulations(game, 64),
+        lambda: find_pre_equilibria(game, 64),
+        lambda: solve(game, 0, m0=64),
+    ):
+        with pytest.raises(errors.BudgetExceeded) as info:
+            call()
+        assert info.value.needed == 16777216
+        assert info.value.budget == 10_000_000
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_budget_below_one_rejected(mp, budget):
     calls = (
