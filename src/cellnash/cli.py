@@ -67,6 +67,16 @@ def _emit(data: dict) -> None:
     sys.stdout.write(_dumps(data))
 
 
+def _write_output(path: str, text: str) -> None:
+    # called before anything reaches stdout, so a bad path leaves only
+    # the JSON error there
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CellNashError(f"cannot write {path}: {exc}") from None
+
+
 def _emit_error(exc: CellNashError) -> int:
     payload: dict = {"error": {"code": exc.code, "message": str(exc)}}
     if hasattr(exc, "resolutions_tried"):
@@ -92,11 +102,9 @@ def _cmd_solve(args) -> int:
         budget=args.budget,
     )
     text = _dumps(report_json(report, game, include_timing=False))
-    full = _dumps(report_json(report, game, include_timing=True)) if args.out else None
+    if args.out:
+        _write_output(args.out, _dumps(report_json(report, game, include_timing=True)))
     sys.stdout.write(text)
-    if full is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(full)
     return EXIT_OK if report.converged else EXIT_NOT_MET
 
 
@@ -165,16 +173,16 @@ def _cmd_volume_check(args) -> int:
     if args.samples_out:
         dim = tri.dim
         samples = [scalars.exact_div(k, dim + 2) for k in range(dim + 3)]
-        with open(args.samples_out, "w", encoding="utf-8") as handle:
-            handle.write("t,g_total,cell_index,cell_value\n")
-            for t in samples:
-                g_total = result.value_at(t)
-                for idx, value in enumerate(moved_volumes(game, tri, t)):
-                    handle.write(
-                        f"{scalars.format_scalar(t)},"
-                        f"{scalars.format_scalar(g_total)},"
-                        f"{idx},{scalars.format_scalar(value)}\n"
-                    )
+        lines = ["t,g_total,cell_index,cell_value\n"]
+        for t in samples:
+            g_total = result.value_at(t)
+            for idx, value in enumerate(moved_volumes(game, tri, t)):
+                lines.append(
+                    f"{scalars.format_scalar(t)},"
+                    f"{scalars.format_scalar(g_total)},"
+                    f"{idx},{scalars.format_scalar(value)}\n"
+                )
+        _write_output(args.samples_out, "".join(lines))
     _emit(
         {
             "game": game.name,

@@ -11,7 +11,9 @@ total — the case split the refinement loop reports for each chosen cell.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from . import scalars
@@ -234,7 +236,67 @@ def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
     mass to pure strategy ``s`` (never negative); ``best[i]`` is the
     largest such gain, ``total`` their sum over players, and ``up[i]``
     says whether ``best[i]`` strictly exceeds ``total / (n + 1)``.
+
+    Exact input is summed as integers: every strategy vector and payoff
+    tensor over its own common denominator, so a player's gains share
+    one denominator and only the reported values become Fractions.
+    Float input takes :func:`_float_gain_table`.
     """
+    check_profile(game, sigma)
+    if float in set(map(type, itertools.chain(*game.payoffs, *sigma.dist))):
+        return _float_gain_table(game, sigma)
+    n = game.num_players
+    vectors = [scalars.as_integers(vector) for vector in sigma.dist]
+    den_all = math.prod(den for _, den in vectors)
+    supports = [
+        [(s * stride, k) for s, k in enumerate(nums) if k]
+        for (nums, _), stride in zip(vectors, game.strides)
+    ]
+    gains = []
+    best = []
+    scales = []
+    for i, (count, stride_i) in enumerate(zip(game.shape, game.strides)):
+        tensor, scale = scalars.as_integers(game.payoffs[i])
+        offsets = [s * stride_i for s in range(count)]
+        # devs[s] * own_den == deviation payoff to s, times den_i
+        devs = [0] * count
+        for combo in itertools.product(*supports[:i], *supports[i + 1 :]):
+            weight = 1
+            base = 0
+            for offset, k in combo:
+                weight *= k
+                base += offset
+            for s, offset in enumerate(offsets):
+                devs[s] += weight * tensor[base + offset]
+        nums, own_den = vectors[i]
+        # the expected payoff, times den_i: own-strategy average of devs
+        own = sum(k * d for k, d in zip(nums, devs) if k)
+        row = [max(own_den * d - own, 0) for d in devs]
+        den_i = scale * den_all
+        gains.append(tuple(_ratio(g, den_i) for g in row))
+        best.append(max(row))
+        scales.append(scale)
+    # best[i] / (scales[i] * den_all), summed over the lcm of the scales
+    lcm = math.lcm(*scales)
+    lifted = [b * (lcm // scale) for b, scale in zip(best, scales)]
+    total = sum(lifted)
+    up = tuple((n + 1) * b > total for b in lifted)
+    return GainTable(
+        gains=tuple(gains),
+        best=tuple(_ratio(b, scale * den_all) for b, scale in zip(best, scales)),
+        total=_ratio(total, lcm * den_all),
+        up=up,
+    )
+
+
+def _ratio(num: int, den: int) -> Scalar:
+    quotient, remainder = divmod(num, den)
+    return Fraction(num, den) if remainder else quotient
+
+
+def _float_gain_table(game: Game, sigma: MixedProfile) -> GainTable:
+    """:func:`gain_table` on float payoffs or probabilities, with float
+    arithmetic and the float-mode tolerance on ``up``."""
     n = game.num_players
     gains = []
     best = []

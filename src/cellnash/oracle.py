@@ -61,12 +61,15 @@ class SupportEnumerationResult:
     degenerate: bool
 
 
-def _pure_payoff_matrices(game: Game) -> tuple[list[list[Scalar]], list[list[Scalar]]]:
-    # raw entries stay ints; solve_affine coerces at its own boundary
+def _pure_payoff_matrices(game: Game) -> tuple[list[list[int]], list[list[int]]]:
+    # each player's payoffs scaled to integers: a positive scaling keeps
+    # every indifference system's solutions and every best response
     rows, cols = game.shape
-    u1 = [[game.payoff(0, (a, b)) for b in range(cols)] for a in range(rows)]
-    u2 = [[game.payoff(1, (a, b)) for b in range(cols)] for a in range(rows)]
-    return u1, u2
+    u1, u2 = (scalars.as_integers(tensor)[0] for tensor in game.payoffs)
+    return (
+        [[u1[a * cols + b] for b in range(cols)] for a in range(rows)],
+        [[u2[a * cols + b] for b in range(cols)] for a in range(rows)],
+    )
 
 
 def _embed(weights: dict[int, Scalar], count: int) -> tuple[Scalar, ...]:
@@ -196,23 +199,26 @@ def support_enumeration_2p(game: Game) -> SupportEnumerationResult:
 
 
 def _is_exact_equilibrium(
-    u1: list[list[Scalar]],
-    u2: list[list[Scalar]],
+    u1: list[list[int]],
+    u2: list[list[int]],
     p: tuple[Scalar, ...],
     q: tuple[Scalar, ...],
 ) -> bool:
-    # direct best-response test against the raw payoff matrices
-    row_values = [
-        sum(row[b] * q[b] for b in range(len(q)) if q[b]) for row in u1
-    ]
-    base1 = sum(p[a] * row_values[a] for a in range(len(p)) if p[a])
-    if any(v > base1 for v in row_values):
+    # direct best-response test on integers: with p == pn / pd and
+    # q == qn / qd, row_values are row 1's payoffs against q times qd and
+    # base1 is player 1's payoff times pd * qd (likewise for player 2)
+    pn, pd = scalars.as_integers(p)
+    qn, qd = scalars.as_integers(q)
+    q_support = [(b, k) for b, k in enumerate(qn) if k]
+    p_support = [(a, k) for a, k in enumerate(pn) if k]
+    row_values = [sum(row[b] * k for b, k in q_support) for row in u1]
+    base1 = sum(k * row_values[a] for a, k in p_support)
+    if any(v * pd > base1 for v in row_values):
         return False
     col_values = [
-        sum(u2[a][b] * p[a] for a in range(len(p)) if p[a])
-        for b in range(len(q))
+        sum(u2[a][b] * k for a, k in p_support) for b in range(len(qn))
     ]
-    base2 = sum(q[b] * col_values[b] for b in range(len(q)) if q[b])
-    if any(v > base2 for v in col_values):
+    base2 = sum(k * col_values[b] for b, k in q_support)
+    if any(v * qd > base2 for v in col_values):
         return False
     return True

@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
-from .errors import ParseError
+from .errors import ParameterOutOfRange, ParseError
 
 Scalar = Union[int, Fraction, float]
 
@@ -102,10 +102,34 @@ def _finite(value) -> float:
 
 
 def format_scalar(value: Scalar):
-    """JSON-ready form: ``p/q`` string in rational mode, number in float mode."""
+    """JSON-ready form: ``p/q`` string in rational mode, number in float mode.
+
+    A rational whose numerator or denominator has more digits than Python
+    converts to a string (``sys.get_int_max_str_digits()``) is an error,
+    as an over-long integer is on input.
+    """
     if isinstance(value, float):
         return value
-    return str(value)
+    try:
+        return str(value)
+    except ValueError:
+        raise ParameterOutOfRange(
+            "result has more digits than Python converts to a string"
+        ) from None
+
+
+def as_integers(values: Sequence[Scalar]) -> tuple[Sequence[int], int]:
+    """Integer numerators over the least common denominator, so that
+    ``values[k] == numerators[k] / denominator``.
+
+    An all-``int`` sequence comes back as it is, with denominator 1;
+    floats enter through their exact ``Fraction``.
+    """
+    if set(map(type, values)) == {int}:
+        return values, 1
+    exact = [Fraction(v) if isinstance(v, float) else v for v in values]
+    den = math.lcm(*[v.denominator for v in exact])
+    return [v.numerator * (den // v.denominator) for v in exact], den
 
 
 def exact_div(value: Scalar, divisor: int) -> Scalar:

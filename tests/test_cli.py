@@ -342,3 +342,33 @@ def test_float_overflow_is_parameter_out_of_range(capsys, tmp_path):
     assert code == EXIT_INPUT_ERROR
     assert json.loads(out)["error"]["code"] == "parameter-out-of-range"
     assert not report.exists()
+
+
+def test_over_long_output_is_parameter_out_of_range(capsys, tmp_path):
+    # each payoff parses (4300 digits), but the gain 18e4299 has 4301
+    path = tmp_path / "big.json"
+    path.write_text(
+        '{"strategies": [["a", "b"], ["c", "d"]], '
+        '"payoffs": [["-9e4299", 0, "9e4299", 0], [0, 0, 0, 0]]}'
+    )
+    code, out = run(capsys, "eval", str(path), "--profile", "[[1, 0], [1, 0]]")
+    assert code == EXIT_INPUT_ERROR
+    assert json.loads(out)["error"]["code"] == "parameter-out-of-range"
+
+
+def test_solve_unwritable_out_is_the_only_output(capsys, tmp_path):
+    report = tmp_path / "missing" / "r.json"
+    code, out = run(capsys, "solve", MP, "--eps", "1/10", "--out", str(report))
+    assert code == EXIT_INPUT_ERROR
+    data = json.loads(out)  # one JSON object, no report before it
+    assert set(data) == {"error"}
+    assert str(report) in data["error"]["message"]
+
+
+def test_volume_check_unwritable_samples_out_is_the_only_output(capsys, tmp_path):
+    samples = tmp_path / "missing" / "s.csv"
+    code, out = run(capsys, "volume-check", ONE, "--m", "4", "--samples-out", str(samples))
+    assert code == EXIT_INPUT_ERROR
+    data = json.loads(out)
+    assert set(data) == {"error"}
+    assert str(samples) in data["error"]["message"]

@@ -1,5 +1,6 @@
 """Payoff evaluation, deviation gains, and the equilibrium predicate."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -16,9 +17,13 @@ from cellnash import (
     gain_table,
     is_equilibrium,
     max_regret,
+    player_triangulations,
+    representative,
+    scalars,
+    scan_cells,
 )
 
-from conftest import random_game, random_profile
+from conftest import as_float_game, label_corpus, random_game, random_profile
 
 import random
 
@@ -276,3 +281,60 @@ def test_deviation_payoffs_matches_per_strategy_evaluation():
                     game, deviation_profile(game, sigma, i, s), i
                 )
                 assert devs[s] == direct
+
+
+def reference_gain_table(game, sigma):
+    # one evaluate_payoff per deviation profile; the expected payoff is
+    # their own-strategy average, summed in the order gain_table's float
+    # path sums it, so float results agree to the bit
+    n = game.num_players
+    gains, best = [], []
+    for i in range(n):
+        devs = [
+            evaluate_payoff(game, deviation_profile(game, sigma, i, s), i)
+            for s in range(game.shape[i])
+        ]
+        base = 0
+        for p, d in zip(sigma.dist[i], devs):
+            if p:
+                base = base + p * d
+        gains.append([max(d - base, 0) for d in devs])
+        best.append(max(gains[-1]))
+    total = 0
+    for b in best:
+        total = total + b
+    share = scalars.exact_div(total, n + 1)
+    up = [scalars.strictly_greater(b, share) for b in best]
+    return gains, best, total, up
+
+
+def gain_table_strings(gains, best, total, up):
+    fmt = scalars.format_scalar
+    return [[fmt(g) for g in row] for row in gains], [fmt(b) for b in best], fmt(total), list(up)
+
+
+@pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.FLOAT])
+def test_gain_table_matches_reference_on_label_corpus(mode):
+    # every vertex profile and every certificate barycenter of the corpus,
+    # whose games include rational payoffs
+    checked = 0
+    with scalars.numeric_mode(mode):
+        for game, m in label_corpus():
+            if mode == scalars.FLOAT:
+                game = as_float_game(game)
+            tris = player_triangulations(game, m)
+            profiles = [
+                MixedProfile(combo)
+                for combo in itertools.product(*(t.vertices for t in tris))
+            ]
+            profiles += [representative(cert) for cert in scan_cells(game, tris)]
+            for sigma in profiles:
+                table = gain_table(game, sigma)
+                got = gain_table_strings(table.gains, table.best, table.total, table.up)
+                assert got == gain_table_strings(*reference_gain_table(game, sigma)), (
+                    game.name,
+                    m,
+                    sigma,
+                )
+                checked += 1
+    assert checked > 9269  # vertex profiles plus barycenters

@@ -17,6 +17,7 @@ from cellnash import (
     grid_min_regret,
     oracle,
     is_equilibrium,
+    scalars,
     solve,
     support_enumeration_2p,
     verify_profile,
@@ -26,6 +27,8 @@ from conftest import (
     BATTLE_OF_SEXES,
     MATCHING_PENNIES,
     PRISONERS_DILEMMA,
+    as_float_game,
+    fixture_suite,
     make_game,
     random_game,
 )
@@ -134,6 +137,46 @@ def test_enumeration_agrees_with_exhaustive_pure_check():
             sigma = PureProfile(pure).as_mixed(game)
             if is_equilibrium(game, sigma, 0):
                 assert tuple(tuple(v) for v in sigma.dist) in enumerated
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 3), (3, 3)])
+def test_support_enumeration_ignores_positive_affine_payoff_changes(shape):
+    # a positive scale and a shift per player keep every best response
+    # and every indifference system's solutions: same equilibria, in the
+    # same order, and the same degeneracy flag
+    rng = random.Random(1931 + shape[1] * shape[0])
+    size = shape[0] * shape[1]
+    degenerate = 0
+    for _ in range(60):
+        payoffs = [
+            [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5))) for _ in range(size)]
+            for _ in range(2)
+        ]
+        moved = []
+        for tensor in payoffs:
+            scale = Fraction(rng.randint(1, 9), rng.randint(1, 7))
+            shift = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            moved.append(tuple(scale * v + shift for v in tensor))
+        before = support_enumeration_2p(make_game(shape, tuple(map(tuple, payoffs))))
+        after = support_enumeration_2p(make_game(shape, tuple(moved)))
+        assert [e.dist for e in after.equilibria] == [e.dist for e in before.equilibria]
+        assert after.degenerate == before.degenerate
+        degenerate += before.degenerate
+    assert degenerate > 0  # the draw reaches the singular systems too
+
+
+def test_float_support_enumeration_matches_rational_on_fixtures():
+    # float payoffs enter the best-response check through their exact
+    # values, so a mixed equilibrium such as random-2x2-10's
+    # ((1/2, 1/2), (4/7, 3/7)) is not lost to rounding
+    for game in fixture_suite():
+        if game.num_players != 2:
+            continue
+        exact = support_enumeration_2p(game)
+        with scalars.numeric_mode(scalars.FLOAT):
+            floated = support_enumeration_2p(as_float_game(game))
+        assert [e.dist for e in floated.equilibria] == [e.dist for e in exact.equilibria], game.name
+        assert floated.degenerate == exact.degenerate, game.name
 
 
 def test_verify_profile_examples(mp, pd):
