@@ -50,13 +50,6 @@ from .oracle import (
     support_enumeration_2p,
     verify_profile,
 )
-from .scalars import (
-    FLOAT,
-    RATIONAL,
-    get_numeric_mode,
-    numeric_mode,
-    set_numeric_mode,
-)
 from .search import (
     CellClassification,
     PreEquilibriumCert,
@@ -93,7 +86,6 @@ __all__ = [
     "CellNashError",
     "DimensionMismatch",
     "EmptySupport",
-    "FLOAT",
     "GainTable",
     "Game",
     "IndexOutOfRange",
@@ -108,7 +100,6 @@ __all__ = [
     "PreEquilibriumCert",
     "ProductCell",
     "PureProfile",
-    "RATIONAL",
     "ResolutionZero",
     "ShapeError",
     "SolveReport",
@@ -126,7 +117,6 @@ __all__ = [
     "evaluate_payoff",
     "find_pre_equilibria",
     "gain_table",
-    "get_numeric_mode",
     "grid_labels",
     "grid_min_regret",
     "is_equilibrium",
@@ -134,7 +124,6 @@ __all__ = [
     "max_regret",
     "moved_cell_volume",
     "moved_volumes",
-    "numeric_mode",
     "parse_game",
     "parse_profile",
     "player_triangulations",
@@ -145,7 +134,6 @@ __all__ = [
     "root_motion",
     "scan_cells",
     "serialize_game",
-    "set_numeric_mode",
     "solve",
     "support_enumeration_2p",
     "total_volume_polynomial",

@@ -8,9 +8,9 @@ volume identity, ``oracle`` runs the independent grid scan, and
 
 Exit codes: 0 on success (solve converged, profile verified), 2 when the
 machinery ran but the goal was not met (no certificate, no convergence,
-verification failed, volume identity broken), 1 on bad input.  Output is
-a single JSON object on stdout; in rational mode it is byte-identical
-across runs.
+verification failed, volume identity broken), 1 on bad input, a malformed
+command line included.  Output is a single JSON object on stdout, and
+byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import scalars
-from .errors import CellNashError, ParameterOutOfRange, ParseError
+from .errors import CellNashError, ParseError
 from .game import Game, gain_table
 from .gamefile import (
     gain_table_json,
@@ -54,13 +54,7 @@ def _read_game(path: str) -> Game:
 
 
 def _dumps(data: dict) -> str:
-    # float mode can overflow to inf (or nan), which JSON cannot carry
-    try:
-        return json.dumps(data, indent=2, allow_nan=False) + "\n"
-    except ValueError:
-        raise ParameterOutOfRange(
-            "result is not a finite number: float arithmetic overflowed"
-        ) from None
+    return json.dumps(data, indent=2) + "\n"
 
 
 def _emit(data: dict) -> None:
@@ -237,16 +231,18 @@ def _cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_NOT_MET
 
 
+class _Parser(argparse.ArgumentParser):
+    # a malformed command line is bad input like any other: a JSON
+    # parse-error and exit 1, not a usage line on stderr and exit 2, which
+    # means "goal not met" here.  Subparsers inherit the class.
+    def error(self, message):
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cellnash",
         description="equilibrium search over labeled simplicial grids",
-    )
-    parser.add_argument(
-        "--mode",
-        choices=(scalars.RATIONAL, scalars.FLOAT),
-        default=scalars.RATIONAL,
-        help="numeric mode (default: rational)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -300,10 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    scalars.set_numeric_mode(args.mode)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CellNashError as exc:
         return _emit_error(exc)

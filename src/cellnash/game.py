@@ -6,12 +6,18 @@ by deviating to the pure strategy (clamped at zero).  A profile is an
 exact equilibrium precisely when the summed best gains vanish, and the
 ``up`` flags mark players whose best gain exceeds an equal share of the
 total — the case split the refinement loop reports for each chosen cell.
+
+All arithmetic is exact: it reads a float payoff or probability as the
+exact binary fraction it holds.  Gain tables and grid labels sum on
+integers (:func:`deviation_sums` over common-denominator numerators) and
+make Fractions only for the values they report.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -127,19 +133,15 @@ class MixedProfile:
             if not vector:
                 raise InvalidDistribution("empty strategy vector")
             for p in vector:
-                if not scalars.is_nonnegative(p):
+                if not p >= 0:  # also refuses NaN
                     raise InvalidDistribution(f"negative probability {p}")
-            if not scalars.sums_to_one(vector):
+            if sum(scalars.exact(vector)) != 1:
                 raise InvalidDistribution(
                     f"probabilities sum to {sum(vector)}, expected 1"
                 )
 
     def support(self, player: int) -> tuple[int, ...]:
-        return tuple(
-            s
-            for s, p in enumerate(self.dist[player])
-            if scalars.is_positive(p)
-        )
+        return tuple(s for s, p in enumerate(self.dist[player]) if p > 0)
 
 
 @dataclass(frozen=True)
@@ -173,19 +175,10 @@ def evaluate_payoff(game: Game, sigma: MixedProfile, player: int) -> Scalar:
     if not 0 <= player < game.num_players:
         raise IndexOutOfRange(f"player {player} out of range")
     supports = [
-        [(s * stride, p) for s, p in enumerate(vector) if p]
+        [(s * stride, p) for s, p in enumerate(scalars.exact(vector)) if p]
         for vector, stride in zip(sigma.dist, game.strides)
     ]
-    tensor = game.payoffs[player]
-    total: Scalar = 0
-    for combo in itertools.product(*supports):
-        weight: Scalar = 1
-        idx = 0
-        for offset, p in combo:
-            weight = weight * p
-            idx += offset
-        total = total + weight * tensor[idx]
-    return total
+    return deviation_sums(scalars.exact(game.payoffs[player]), supports, [0])[0]
 
 
 def deviation_profile(game: Game, sigma: MixedProfile, player: int, strategy: int) -> MixedProfile:
@@ -210,23 +203,38 @@ def deviation_payoffs(game: Game, sigma: MixedProfile, player: int) -> tuple[Sca
     if not 0 <= player < game.num_players:
         raise IndexOutOfRange(f"player {player} out of range")
     others = [
-        [(s * stride, p) for s, p in enumerate(vector) if p]
+        [(s * stride, p) for s, p in enumerate(scalars.exact(vector)) if p]
         for j, (vector, stride) in enumerate(zip(sigma.dist, game.strides))
         if j != player
     ]
-    tensor = game.payoffs[player]
-    stride_i = game.strides[player]
-    count = game.shape[player]
-    out: list[Scalar] = [0] * count
+    offsets = [s * game.strides[player] for s in range(game.shape[player])]
+    return tuple(deviation_sums(scalars.exact(game.payoffs[player]), others, offsets))
+
+
+def deviation_sums(
+    tensor: Sequence[Scalar],
+    others: Sequence[Sequence[tuple[int, Scalar]]],
+    offsets: Sequence[int],
+) -> list[Scalar]:
+    """Deviation payoffs from a flat payoff tensor.
+
+    ``others`` holds, per other player, the ``(tensor offset, weight)``
+    pairs of their supported strategies, and ``offsets`` the tensor
+    offsets of the deviating player's strategies.  ``out[s]`` sums, over
+    every combination of one pair per other player, the weights' product
+    times the tensor entry at the offsets' sum plus ``offsets[s]``.
+    Integer weights and payoffs give integer sums.
+    """
+    out: list[Scalar] = [0] * len(offsets)
     for combo in itertools.product(*others):
         weight: Scalar = 1
         base = 0
-        for offset, p in combo:
-            weight = weight * p
+        for offset, k in combo:
+            weight *= k
             base += offset
-        for s in range(count):
-            out[s] = out[s] + weight * tensor[base + s * stride_i]
-    return tuple(out)
+        for s, offset in enumerate(offsets):
+            out[s] += weight * tensor[base + offset]
+    return out
 
 
 def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
@@ -237,17 +245,14 @@ def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
     largest such gain, ``total`` their sum over players, and ``up[i]``
     says whether ``best[i]`` strictly exceeds ``total / (n + 1)``.
 
-    Exact input is summed as integers: every strategy vector and payoff
-    tensor over its own common denominator, so a player's gains share
-    one denominator and only the reported values become Fractions.
-    Float input takes :func:`_float_gain_table`.
+    Sums run on integers: every strategy vector and payoff tensor over
+    its own common denominator, so a player's gains share one
+    denominator and only the reported values become Fractions.
     """
     check_profile(game, sigma)
-    if float in set(map(type, itertools.chain(*game.payoffs, *sigma.dist))):
-        return _float_gain_table(game, sigma)
     n = game.num_players
     vectors = [scalars.as_integers(vector) for vector in sigma.dist]
-    den_all = math.prod(den for _, den in vectors)
+    den_all = math.prod([den for _, den in vectors])
     supports = [
         [(s * stride, k) for s, k in enumerate(nums) if k]
         for (nums, _), stride in zip(vectors, game.strides)
@@ -257,65 +262,34 @@ def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
     scales = []
     for i, (count, stride_i) in enumerate(zip(game.shape, game.strides)):
         tensor, scale = scalars.as_integers(game.payoffs[i])
-        offsets = [s * stride_i for s in range(count)]
+        offsets = range(0, count * stride_i, stride_i)
         # devs[s] * own_den == deviation payoff to s, times den_i
-        devs = [0] * count
-        for combo in itertools.product(*supports[:i], *supports[i + 1 :]):
-            weight = 1
-            base = 0
-            for offset, k in combo:
-                weight *= k
-                base += offset
-            for s, offset in enumerate(offsets):
-                devs[s] += weight * tensor[base + offset]
+        devs = deviation_sums(tensor, supports[:i] + supports[i + 1 :], offsets)
         nums, own_den = vectors[i]
         # the expected payoff, times den_i: own-strategy average of devs
-        own = sum(k * d for k, d in zip(nums, devs) if k)
+        own = sum(map(operator.mul, nums, devs))
         row = [max(own_den * d - own, 0) for d in devs]
-        den_i = scale * den_all
-        gains.append(tuple(_ratio(g, den_i) for g in row))
+        gains.append(_ratios(row, scale * den_all))
         best.append(max(row))
         scales.append(scale)
     # best[i] / (scales[i] * den_all), summed over the lcm of the scales
     lcm = math.lcm(*scales)
     lifted = [b * (lcm // scale) for b, scale in zip(best, scales)]
     total = sum(lifted)
-    up = tuple((n + 1) * b > total for b in lifted)
+    *best_values, total_value = _ratios(lifted + [total], lcm * den_all)
     return GainTable(
         gains=tuple(gains),
-        best=tuple(_ratio(b, scale * den_all) for b, scale in zip(best, scales)),
-        total=_ratio(total, lcm * den_all),
-        up=up,
+        best=tuple(best_values),
+        total=total_value,
+        up=tuple((n + 1) * b > total for b in lifted),
     )
 
 
-def _ratio(num: int, den: int) -> Scalar:
-    quotient, remainder = divmod(num, den)
-    return Fraction(num, den) if remainder else quotient
-
-
-def _float_gain_table(game: Game, sigma: MixedProfile) -> GainTable:
-    """:func:`gain_table` on float payoffs or probabilities, with float
-    arithmetic and the float-mode tolerance on ``up``."""
-    n = game.num_players
-    gains = []
-    best = []
-    for i in range(n):
-        devs = deviation_payoffs(game, sigma, i)
-        # expected payoff: the own-strategy average of the deviation payoffs
-        base: Scalar = 0
-        for p, d in zip(sigma.dist[i], devs):
-            if p:
-                base = base + p * d
-        row = tuple(max(d - base, 0) for d in devs)
-        gains.append(row)
-        best.append(max(row))
-    total: Scalar = 0
-    for b in best:
-        total = total + b
-    share = scalars.exact_div(total, n + 1)
-    up = tuple(scalars.strictly_greater(b, share) for b in best)
-    return GainTable(gains=tuple(gains), best=tuple(best), total=total, up=up)
+def _ratios(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:
+    """``k / den`` for each ``k``: an int where it divides, else a Fraction."""
+    if den == 1:
+        return tuple(nums)
+    return tuple(Fraction(k, den) if k % den else k // den for k in nums)
 
 
 def max_regret(game: Game, sigma: MixedProfile) -> Scalar:
@@ -331,7 +305,7 @@ def is_equilibrium(game: Game, sigma: MixedProfile, eps: Scalar) -> bool:
     """
     if eps < 0:
         raise NegativeEpsilon(f"eps {eps} is negative")
-    return scalars.less_equal(max_regret(game, sigma), eps)
+    return max_regret(game, sigma) <= eps
 
 
 def support_or_raise(sigma: MixedProfile, player: int) -> tuple[int, ...]:

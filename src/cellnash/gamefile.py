@@ -2,10 +2,10 @@
 
 Games are plain JSON: strategy names per player plus one flattened payoff
 tensor per player (last player's strategy fastest).  Scalars accept
-integers and ``p/q`` or decimal strings; rational mode refuses floats so
-nothing inexact sneaks in.  All serialization is key-ordered and
-rational-mode numbers render as canonical fraction strings, which keeps
-repeat runs byte-identical.
+integers and ``p/q`` or decimal strings; float literals are refused so
+nothing inexact sneaks in.  All serialization is key-ordered and numbers
+render as canonical fraction strings, which keeps repeat runs
+byte-identical.
 """
 
 from __future__ import annotations
@@ -165,7 +165,7 @@ def report_json(
     """Report dict; timing is opt-in so stdout stays deterministic."""
     data: dict[str, Any] = {
         "game": game.name,
-        "numeric_mode": scalars.get_numeric_mode(),
+        "numeric_mode": "rational",  # the only arithmetic; a fixed report field
         "eps_target": scalars.format_scalar(report.eps_target),
         "budget": report.budget,
         "stages": [stage_json(s, include_timing) for s in report.stages],

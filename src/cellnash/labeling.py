@@ -10,7 +10,10 @@ A whole grid is labeled per player: player ``i``'s deviation payoffs
 depend only on the other players' vertices, and player ``i``'s own vertex
 only picks the support the label is drawn from.  :func:`grid_labels`
 therefore computes one deviation vector per player and per tuple of the
-other players' vertices, and one argmin per distinct support in it.
+other players' vertices, and one argmin per distinct support in it.  It
+sums on integers: each vertex's weights over their common denominator
+and each payoff tensor over its own, which scales a deviation vector by
+a positive constant and so keeps its argmin and its ties exactly.
 
 Moving each player's vector along the segment toward the degenerate
 vector on their label sweeps grid cells onto pure profiles; cells whose
@@ -30,6 +33,7 @@ from .game import (
     MixedProfile,
     PureProfile,
     deviation_payoffs,
+    deviation_sums,
     evaluate_payoff,
     support_or_raise,
 )
@@ -48,7 +52,7 @@ def root_label(game: Game, sigma: MixedProfile) -> PureProfile:
         best_s = support[0]
         best_v = devs[best_s]
         for s in support[1:]:
-            if scalars.strictly_greater(best_v, devs[s]):
+            if best_v > devs[s]:
                 best_s = s
                 best_v = devs[s]
         choices.append(best_s)
@@ -61,41 +65,39 @@ def grid_labels(game: Game, tris: Sequence[Triangulation]) -> list[int]:
     vertex varies fastest).
 
     Per player ``i`` and tuple of the other players' vertices, the
-    deviation payoffs are computed once and the label is taken once per
-    distinct support among player ``i``'s vertices; a profile's label is
-    the sum of its players' ``game.strides[i] * choice``.
+    deviation payoffs are summed once, on integers, and the label is
+    taken once per distinct support among player ``i``'s vertices; a
+    profile's label is the sum of its players' ``game.strides[i] *
+    choice``.
     """
     counts = [len(t.vertices) for t in tris]
     steps = [math.prod(counts[j + 1 :]) for j in range(len(tris))]
     labels = [0] * math.prod(counts)
-    for i, tri in enumerate(tris):
-        supports = [
-            tuple(s for s, p in enumerate(vertex) if scalars.is_positive(p))
-            for vertex in tri.vertices
-        ]
+    # per player and vertex: its offset into the label list, and its
+    # support as (payoff tensor offset, integer weight) pairs
+    axes = []
+    for tri, step, stride in zip(tris, steps, game.strides):
+        axis = []
+        for v, vertex in enumerate(tri.vertices):
+            nums, _ = scalars.as_integers(vertex)
+            axis.append((v * step, [(s * stride, k) for s, k in enumerate(nums) if k]))
+        axes.append(axis)
+    for i, axis in enumerate(axes):
+        tensor, _ = scalars.as_integers(game.payoffs[i])
+        offsets = [s * game.strides[i] for s in range(game.shape[i])]
         ids: dict[tuple[int, ...], int] = {}
-        support_ids = [ids.setdefault(support, len(ids)) for support in supports]
-        own = [v * steps[i] for v in range(counts[i])]
-        # player i's own vector does not enter its deviation payoffs, so
-        # any of its vertices stands in for all of them
-        axes = [
-            [(v * steps[j], vertex) for v, vertex in enumerate(t.vertices)]
-            if j != i
-            else [(0, tri.vertices[0])]
-            for j, t in enumerate(tris)
+        support_ids = [
+            ids.setdefault(tuple(s for s, p in enumerate(vertex) if p), len(ids))
+            for vertex in tris[i].vertices
         ]
-        for combo in itertools.product(*axes):
-            sigma = MixedProfile(tuple(vertex for _, vertex in combo))
-            devs = deviation_payoffs(game, sigma, i)
-            picks = []
-            for support in ids:  # root_label's rule
-                best_s = support[0]
-                for s in support[1:]:
-                    if scalars.strictly_greater(devs[best_s], devs[s]):
-                        best_s = s
-                picks.append(game.strides[i] * best_s)
+        for combo in itertools.product(*axes[:i], *axes[i + 1 :]):
+            devs = deviation_sums(tensor, [weights for _, weights in combo], offsets)
+            # root_label's rule: min keeps the first, lowest-index minimum
+            picks = [
+                game.strides[i] * min(support, key=devs.__getitem__) for support in ids
+            ]
             base = sum(offset for offset, _ in combo)
-            for offset, sid in zip(own, support_ids):
+            for (offset, _), sid in zip(axis, support_ids):
                 labels[base + offset] += picks[sid]
     return labels
 
@@ -127,6 +129,6 @@ def check_root_properties(game: Game, sigma: MixedProfile) -> bool:
         base = evaluate_payoff(game, sigma, i)
         dev = deviation_payoffs(game, sigma, i)[s]
         gain = max(dev - base, 0)
-        if not scalars.is_zero(gain):
+        if gain != 0:
             return False
     return True

@@ -52,7 +52,7 @@ def verify_profile(
     table = gain_table(game, sigma)
     if eps < 0:
         raise NegativeEpsilon(f"eps {eps} is negative")
-    return scalars.less_equal(max(table.best), eps), table
+    return max(table.best) <= eps, table
 
 
 @dataclass(frozen=True)

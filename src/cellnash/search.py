@@ -123,7 +123,7 @@ def scan_cells(
 
 def representative(cert: PreEquilibriumCert) -> MixedProfile:
     """Barycenter of the cell: per player, the average of the factor
-    cell's vertices (exact in rational mode)."""
+    cell's vertices, exact."""
     dists = []
     for vertex_group in cert.cell.factor_vertices:
         k = len(vertex_group)
@@ -195,12 +195,7 @@ def solve(
     Raises :class:`NoPreEquilibriumFound` only when every stage comes up
     empty — then there is no profile to report at all.
     """
-    if isinstance(eps_target, float):
-        if eps_target <= 0:
-            raise NegativeEpsilon(
-                f"eps target {eps_target} must be positive in float mode"
-            )
-    elif eps_target < 0:
+    if eps_target < 0:
         raise NegativeEpsilon(f"eps target {eps_target} is negative")
     if m0 < 1:
         raise ResolutionZero(f"m0 {m0} must be >= 1")
@@ -262,7 +257,7 @@ def solve(
             )
         )
         best = (chosen_rep, regret, chosen_table)
-        if scalars.less_equal(regret, eps_target):
+        if regret <= eps_target:
             converged = True
             break
         m *= refine_factor

@@ -116,16 +116,22 @@ def label_corpus():
     """(game, m) pairs for checking the grid labeler and the scan against
     their references: the fixture suite at m in {1, 2, 3, 4, 8} (m <= 4
     for three players), plus seeded games of other shapes with integer,
-    rational and {-1, 0, 1} payoffs (the last tie often)."""
+    rational, {-1, 0, 1} (ties often) and wide payoffs.  Wide payoffs
+    have numerators near 10**20 over denominators up to 10**6, so each
+    player's payoffs scale to integers by a large, different lcm."""
     cases = []
     for game in fixture_suite():
         for m in (1, 2, 3, 4) if game.num_players == 3 else (1, 2, 3, 4, 8):
             cases.append((game, m))
     rng = random.Random(FIXTURE_SEED)
+    wide = random.Random(FIXTURE_SEED)  # own stream: the other draws stay put
     draws = {
         "int": lambda: rng.randint(-5, 5),
         "rational": lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
         "unit": lambda: rng.choice((-1, 0, 1)),
+        "wide": lambda: Fraction(
+            wide.randint(-(10**20), 10**20), wide.randint(1, 10**6)
+        ),
     }
     shapes = {
         (3, 3): (1, 2, 4),
@@ -147,7 +153,7 @@ def label_corpus():
 
 
 def as_float_game(game):
-    """The same game with float payoffs; build it in float mode."""
+    """The same game with float payoffs."""
     return Game(
         strategy_names=game.strategy_names,
         payoffs=tuple(tuple(float(v) for v in tensor) for tensor in game.payoffs),

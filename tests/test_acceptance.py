@@ -5,7 +5,7 @@ its wall-clock cost, and then asserts.  Gates that sweep many sub-cases
 collect every miss and put the full map into the failure message instead
 of stopping at the first one; a red gate here is a finding, not noise.
 
-All gates run in exact rational mode.  Budgets are generous on purpose:
+All gates run in exact arithmetic.  Budgets are generous on purpose:
 they catch complexity regressions, not scheduler jitter.
 """
 

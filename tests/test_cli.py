@@ -2,10 +2,11 @@
 
 import json
 import os
+import time
 
 import pytest
 
-from cellnash import labeling, scalars, serialize_game, subdivision
+from cellnash import labeling, serialize_game, subdivision
 from cellnash.cli import EXIT_INPUT_ERROR, EXIT_NOT_MET, EXIT_OK, run_cli
 
 from conftest import BATTLE_OF_SEXES, count_calls, make_game
@@ -14,13 +15,7 @@ DATA = os.path.join(os.path.dirname(__file__), "data")
 MP = os.path.join(DATA, "matching_pennies.json")
 PD = os.path.join(DATA, "prisoners_dilemma.json")
 ONE = os.path.join(DATA, "one_player.json")
-
-
-@pytest.fixture(autouse=True)
-def _rational_mode_after():
-    # run_cli sets the process-wide mode; keep tests order-independent
-    yield
-    scalars.set_numeric_mode(scalars.RATIONAL)
+GOLDEN = os.path.join(DATA, "golden")
 
 
 def run(capsys, *argv):
@@ -280,16 +275,6 @@ def test_repeated_runs_are_byte_identical(capsys):
     assert third == fourth
 
 
-def test_float_mode_eval(capsys):
-    code, out = run(
-        capsys, "--mode", "float", "eval", MP, "--profile", "[[0.5, 0.5], [0.5, 0.5]]"
-    )
-    assert code == EXIT_OK
-    data = json.loads(out)
-    assert data["max_regret"] == 0.0
-    assert data["total"] == 0.0
-
-
 def test_rational_mode_rejects_float_literals(capsys, tmp_path):
     path = tmp_path / "g.json"
     game = make_game((2, 2), BATTLE_OF_SEXES.payoffs, "bos")
@@ -300,48 +285,89 @@ def test_rational_mode_rejects_float_literals(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "payoff, eps",
+    "payoff",
     [
-        pytest.param("NaN", "1", id="nan"),
-        pytest.param("Infinity", "1", id="infinity"),
-        pytest.param("1e400", "1", id="float-1e400"),
-        pytest.param("1" * 401, "1", id="401-digit-int"),
-        pytest.param('"1e400"', "1", id="string-1e400"),
-        pytest.param("1", "1e400", id="eps-1e400"),
+        pytest.param("NaN", id="nan"),
+        pytest.param("Infinity", id="infinity"),
+        pytest.param("1e400", id="float-1e400"),
     ],
 )
-def test_float_mode_rejects_non_finite_numbers(capsys, tmp_path, payoff, eps):
+def test_json_float_literals_are_parse_errors(capsys, tmp_path, payoff):
     path = tmp_path / "g.json"
     path.write_text(
         '{"strategies": [["H", "T"], ["H", "T"]], '
         f'"payoffs": [[{payoff}, -1, -1, 1], [-1, 1, 1, -1]]}}'
     )
-    code, out = run(capsys, "--mode", "float", "solve", str(path), "--eps", eps)
+    code, out = run(capsys, "solve", str(path), "--eps", "1")
     assert code == EXIT_INPUT_ERROR
     assert json.loads(out)["error"]["code"] == "parse-error"
 
 
-def test_float_overflow_is_parameter_out_of_range(capsys, tmp_path):
-    # finite payoffs whose gains overflow to inf, which JSON cannot carry
-    one = tmp_path / "huge.json"
-    one.write_text('{"strategies": [["a", "b"]], "payoffs": [[1e308, -1e308]]}')
-    code, out = run(capsys, "--mode", "float", "eval", str(one), "--profile", "[[0, 1]]")
+@pytest.mark.parametrize("where", ["payoff", "eps", "profile"])
+@pytest.mark.parametrize("value", ["1e30000000", "1e-30000000"])
+def test_huge_decimal_exponent_is_a_quick_parse_error(capsys, tmp_path, where, value):
+    # building the Fraction would take 10**30000000: far past a minute
+    path = tmp_path / "g.json"
+    payoff = f'"{value}"' if where == "payoff" else "1"
+    path.write_text(f'{{"strategies": [["a", "b"]], "payoffs": [[{payoff}, 0]]}}')
+    if where == "profile":
+        argv = ["eval", str(path), "--profile", f'[["{value}", 1]]']
+    else:
+        argv = ["solve", str(path), "--eps", value if where == "eps" else "1"]
+    start = time.perf_counter()
+    code, out = run(capsys, *argv)
+    assert time.perf_counter() - start < 0.5
     assert code == EXIT_INPUT_ERROR
-    assert json.loads(out)["error"]["code"] == "parameter-out-of-range"
-    # at m=1 both players gain 1e308 at the uniform profile: the total is inf
-    two = tmp_path / "huge2.json"
-    two.write_text(
-        '{"strategies": [["a", "b"], ["c", "d"]], '
-        '"payoffs": [[1e308, 1e308, -1e308, -1e308], [1e308, -1e308, 1e308, -1e308]]}'
-    )
-    report = tmp_path / "report.json"
-    code, out = run(
-        capsys, "--mode", "float", "solve", str(two), "--eps", "1", "--m0", "1",
-        "--out", str(report),
-    )
+    assert json.loads(out)["error"]["code"] == "parse-error"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["solve", MP], id="missing-eps"),
+        pytest.param(["solve", MP, "--eps", "1/10", "--m0", "x"], id="m0-not-int"),
+        pytest.param(["fly", MP], id="unknown-subcommand"),
+        pytest.param(["--mode", "fast", "solve", MP, "--eps", "1/10"], id="mode-fast"),
+        pytest.param(
+            ["--mode", "float", "solve", MP, "--eps", "1/10"], id="mode-float"
+        ),
+    ],
+)
+def test_usage_errors_are_json_parse_errors(capsys, argv):
+    code = run_cli(argv)
+    captured = capsys.readouterr()
     assert code == EXIT_INPUT_ERROR
-    assert json.loads(out)["error"]["code"] == "parameter-out-of-range"
-    assert not report.exists()
+    assert json.loads(captured.out)["error"]["code"] == "parse-error"
+    assert captured.err == ""
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as info:
+        run_cli(["--help"])
+    assert info.value.code == 0
+    assert "usage: cellnash" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "name", ["matching_pennies", "prisoners_dilemma", "one_player"]
+)
+def test_stdout_matches_golden_files(capsys, name):
+    # stdout pinned byte for byte across changes to the code, the
+    # "numeric_mode": "rational" field included
+    path = os.path.join(DATA, f"{name}.json")
+    uniform = [["1/2", "1/2"]] * (1 if name == "one_player" else 2)
+    commands = {
+        "solve": ["solve", path, "--eps", "1/10"],
+        "eval": ["eval", path, "--profile", json.dumps(uniform)],
+        "cells": ["cells", path, "--m", "4"],
+    }
+    if name != "one_player":
+        commands["oracle"] = ["oracle", path, "--m", "4", "--support-enum"]
+    for command, argv in commands.items():
+        _, out = run(capsys, *argv)
+        golden = os.path.join(GOLDEN, f"{name}.{command}.json")
+        with open(golden, encoding="utf-8") as handle:
+            assert out == handle.read(), command
 
 
 def test_over_long_output_is_parameter_out_of_range(capsys, tmp_path):

@@ -23,7 +23,7 @@ from cellnash import (
     scan_cells,
 )
 
-from conftest import as_float_game, label_corpus, random_game, random_profile
+from conftest import label_corpus, random_game, random_profile
 
 import random
 
@@ -61,6 +61,17 @@ def test_mixed_profile_rejects_negative():
 def test_mixed_profile_rejects_bad_sum():
     with pytest.raises(errors.InvalidDistribution):
         MixedProfile(((Fraction(1, 2), Fraction(1, 3)),))
+
+
+def test_float_probabilities_are_read_exactly():
+    # 0.1 + 0.9 is 1.0 in float arithmetic, but the exact values of the
+    # two floats sum to 1 + 2**-55; 0.25 and 0.75 are exact
+    with pytest.raises(errors.InvalidDistribution):
+        MixedProfile(((0.1, 0.9),))
+    constant = Game(strategy_names=(("a", "b"),), payoffs=((-1, -1),))
+    sigma = MixedProfile(((0.25, 0.75),))
+    assert gain_table(constant, sigma).total == 0
+    assert evaluate_payoff(constant, sigma, 0) == -1
 
 
 def test_evaluate_payoff_pure_profiles(mp):
@@ -285,8 +296,7 @@ def test_deviation_payoffs_matches_per_strategy_evaluation():
 
 def reference_gain_table(game, sigma):
     # one evaluate_payoff per deviation profile; the expected payoff is
-    # their own-strategy average, summed in the order gain_table's float
-    # path sums it, so float results agree to the bit
+    # their own-strategy average
     n = game.num_players
     gains, best = [], []
     for i in range(n):
@@ -304,7 +314,7 @@ def reference_gain_table(game, sigma):
     for b in best:
         total = total + b
     share = scalars.exact_div(total, n + 1)
-    up = [scalars.strictly_greater(b, share) for b in best]
+    up = [b > share for b in best]
     return gains, best, total, up
 
 
@@ -313,28 +323,24 @@ def gain_table_strings(gains, best, total, up):
     return [[fmt(g) for g in row] for row in gains], [fmt(b) for b in best], fmt(total), list(up)
 
 
-@pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.FLOAT])
-def test_gain_table_matches_reference_on_label_corpus(mode):
+def test_gain_table_matches_reference_on_label_corpus():
     # every vertex profile and every certificate barycenter of the corpus,
     # whose games include rational payoffs
     checked = 0
-    with scalars.numeric_mode(mode):
-        for game, m in label_corpus():
-            if mode == scalars.FLOAT:
-                game = as_float_game(game)
-            tris = player_triangulations(game, m)
-            profiles = [
-                MixedProfile(combo)
-                for combo in itertools.product(*(t.vertices for t in tris))
-            ]
-            profiles += [representative(cert) for cert in scan_cells(game, tris)]
-            for sigma in profiles:
-                table = gain_table(game, sigma)
-                got = gain_table_strings(table.gains, table.best, table.total, table.up)
-                assert got == gain_table_strings(*reference_gain_table(game, sigma)), (
-                    game.name,
-                    m,
-                    sigma,
-                )
-                checked += 1
+    for game, m in label_corpus():
+        tris = player_triangulations(game, m)
+        profiles = [
+            MixedProfile(combo)
+            for combo in itertools.product(*(t.vertices for t in tris))
+        ]
+        profiles += [representative(cert) for cert in scan_cells(game, tris)]
+        for sigma in profiles:
+            table = gain_table(game, sigma)
+            got = gain_table_strings(table.gains, table.best, table.total, table.up)
+            assert got == gain_table_strings(*reference_gain_table(game, sigma)), (
+                game.name,
+                m,
+                sigma,
+            )
+            checked += 1
     assert checked > 9269  # vertex profiles plus barycenters

@@ -19,10 +19,9 @@ from cellnash import (
     player_triangulations,
     root_label,
     root_motion,
-    scalars,
 )
 
-from conftest import as_float_game, label_corpus, random_game, random_profile
+from conftest import label_corpus, make_game, random_game, random_profile
 
 
 def test_label_forced_by_singleton_supports(mp):
@@ -38,19 +37,6 @@ def test_label_four_way_tie_takes_lowest_index(mp):
     assert root_label(mp, uniform).choices == (0, 0)
 
 
-def test_float_label_ignores_differences_within_tolerance():
-    # 0.1 + 0.2 exceeds 0.3 by one ulp; the exact game ties and labels 0
-    with scalars.numeric_mode(scalars.FLOAT):
-        g = Game(strategy_names=(("s1", "s2"),), payoffs=((0.1 + 0.2, 0.3),))
-        assert root_label(g, MixedProfile(((0.5, 0.5),))).choices == (0,)
-    exact = Game(
-        strategy_names=(("s1", "s2"),),
-        payoffs=((Fraction(3, 10), Fraction(3, 10)),),
-    )
-    half = MixedProfile(((Fraction(1, 2), Fraction(1, 2)),))
-    assert root_label(exact, half).choices == (0,)
-
-
 def reference_grid_labels(game, tris):
     # root_label at every vertex profile, row-major over the vertex lists
     return [
@@ -59,40 +45,31 @@ def reference_grid_labels(game, tris):
     ]
 
 
-@pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.FLOAT])
-def test_grid_labels_match_root_label_everywhere(mode):
-    with scalars.numeric_mode(mode):
-        for game, m in label_corpus():
-            if mode == scalars.FLOAT:
-                game = as_float_game(game)
-            tris = player_triangulations(game, m)
-            assert grid_labels(game, tris) == reference_grid_labels(game, tris), (
-                game.name,
-                m,
-            )
-
-
-def test_float_grid_labels_ignore_differences_within_tolerance():
-    # player 0's deviation payoffs differ by about one ulp (0.1 + 0.2 vs
-    # 0.3): a tie, so every profile labels player 0 with strategy 0
-    third = 0.1 + 0.2
-    with scalars.numeric_mode(scalars.FLOAT):
-        games = (
-            Game(strategy_names=(("s1", "s2"),), payoffs=((third, 0.3),)),
-            Game(
-                strategy_names=(("a", "b"), ("c", "d")),
-                payoffs=((third, third, 0.3, 0.3), (0.0, 1.0, 0.0, 1.0)),
-            ),
+def test_grid_labels_match_root_label_everywhere():
+    for game, m in label_corpus():
+        tris = player_triangulations(game, m)
+        assert grid_labels(game, tris) == reference_grid_labels(game, tris), (
+            game.name,
+            m,
         )
-        for game in games:
-            for m in (2, 4):
-                tris = player_triangulations(game, m)
-                labels = grid_labels(game, tris)
-                assert labels == reference_grid_labels(game, tris)
-                profiles = itertools.product(*(t.vertices for t in tris))
-                for flat, combo in zip(labels, profiles):
-                    if combo[0][0] > 0:  # strategy 0 in player 0's support
-                        assert flat // game.strides[0] == 0
+
+
+def test_float_payoffs_are_read_exactly():
+    # float arithmetic labels this grid differently from the exact values
+    # the floats hold; read exactly, grid_labels, root_label and the game
+    # of those exact Fractions all agree
+    floats = make_game(
+        (2, 3),
+        (
+            (0.2, 0.1 + 0.2, 0.9, 0.9, 0.9, 0.1),
+            (0.3, 0.1, 0.7, 0.9, 0.7, 0.7),
+        ),
+    )
+    exact = make_game((2, 3), tuple(tuple(map(Fraction, t)) for t in floats.payoffs))
+    tris = player_triangulations(floats, 3)
+    labels = grid_labels(floats, tris)
+    assert labels == reference_grid_labels(floats, tris)
+    assert labels == grid_labels(exact, tris) == reference_grid_labels(exact, tris)
 
 
 def test_label_one_player_picks_minimum():

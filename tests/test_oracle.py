@@ -17,7 +17,6 @@ from cellnash import (
     grid_min_regret,
     oracle,
     is_equilibrium,
-    scalars,
     solve,
     support_enumeration_2p,
     verify_profile,
@@ -173,8 +172,7 @@ def test_float_support_enumeration_matches_rational_on_fixtures():
         if game.num_players != 2:
             continue
         exact = support_enumeration_2p(game)
-        with scalars.numeric_mode(scalars.FLOAT):
-            floated = support_enumeration_2p(as_float_game(game))
+        floated = support_enumeration_2p(as_float_game(game))
         assert [e.dist for e in floated.equilibria] == [e.dist for e in exact.equilibria], game.name
         assert floated.degenerate == exact.degenerate, game.name
 

@@ -1,4 +1,4 @@
-"""Scalar parsing, formatting, and numeric-mode behavior."""
+"""Scalar parsing and formatting."""
 
 from fractions import Fraction
 
@@ -45,41 +45,9 @@ def test_float_rejected_in_rational_mode():
         scalars.parse_scalar(0.5)
 
 
-def test_float_allowed_in_float_mode():
-    with scalars.numeric_mode(scalars.FLOAT):
-        assert scalars.parse_scalar(0.5) == 0.5
-        assert scalars.parse_scalar("1/4") == 0.25
-
-
-@pytest.mark.parametrize(
-    "value",
-    [
-        float("nan"),
-        float("inf"),
-        float("-inf"),
-        pytest.param(10**400, id="int-1e400"),
-        pytest.param(-(10**400), id="int-minus-1e400"),
-        "1e400",
-        "-1e400",
-        pytest.param(Fraction(10**400, 3), id="fraction-1e400/3"),
-    ],
-)
-def test_float_mode_rejects_non_finite_and_overflowing_values(value):
-    with scalars.numeric_mode(scalars.FLOAT):
-        with pytest.raises(errors.ParseError):
-            scalars.parse_scalar(value)
-
-
 def test_rational_mode_keeps_large_values_exact():
     assert scalars.parse_scalar(10**400) == 10**400
     assert scalars.parse_scalar("1e400") == 10**400
-
-
-def test_mode_context_restores():
-    assert scalars.get_numeric_mode() == scalars.RATIONAL
-    with scalars.numeric_mode(scalars.FLOAT):
-        assert scalars.get_numeric_mode() == scalars.FLOAT
-    assert scalars.get_numeric_mode() == scalars.RATIONAL
 
 
 def test_format_canonical_fractions():
@@ -95,17 +63,17 @@ def test_exact_div():
     assert isinstance(scalars.exact_div(4, 2), int)
 
 
-def test_comparisons_exact_in_rational_mode():
-    assert scalars.is_zero(0)
-    assert scalars.is_zero(Fraction(0))
-    assert not scalars.is_zero(Fraction(1, 10**9))
-    assert scalars.is_positive(Fraction(1, 10**12))
-    assert scalars.strictly_greater(Fraction(1, 3), Fraction(1, 3) - Fraction(1, 10**15))
-
-
-def test_comparisons_tolerant_in_float_mode():
-    with scalars.numeric_mode(scalars.FLOAT):
-        assert scalars.is_zero(1e-12)
-        assert not scalars.is_zero(1e-6)
-        assert scalars.less_equal(1.0 + 1e-12, 1.0)
-        assert not scalars.strictly_greater(1.0 + 1e-12, 1.0)
+def test_decimal_strings_keep_to_the_digit_limit():
+    # 4300 digits by default, on the reduced numerator and denominator
+    assert scalars.parse_scalar("9e4299") == 9 * 10**4299
+    assert scalars.parse_scalar("5e-4300") == Fraction(1, 2 * 10**4299)
+    for text in (
+        "1e4300",
+        "1e-4300",
+        "1e30000000",
+        "-1e-30000000",
+        "9" * 4300 + ".9",  # no exponent: 4301 digits
+        "1e" + "9" * 5000,  # an exponent too long to read
+    ):
+        with pytest.raises(errors.ParseError):
+            scalars.parse_scalar(text)

@@ -16,12 +16,12 @@ from cellnash import (
     find_pre_equilibria,
     game as game_module,
     gain_table,
+    grid_labels,
     labeling,
     max_regret,
     player_triangulations,
     representative,
     root_label,
-    scalars,
     solve,
 )
 from cellnash.search import (
@@ -38,7 +38,6 @@ from conftest import (
     PRISONERS_DILEMMA,
     ROCK_PAPER_SCISSORS,
     FIXTURE_SEED,
-    as_float_game,
     count_calls,
     label_corpus,
     make_game,
@@ -100,29 +99,30 @@ def reference_scan(game, resolutions):
     return certs
 
 
-@pytest.mark.parametrize("mode", [scalars.RATIONAL, scalars.FLOAT])
-def test_scan_matches_reference_scan(mode):
-    with scalars.numeric_mode(mode):
-        for game, m in label_corpus():
-            if mode == scalars.FLOAT:
-                game = as_float_game(game)
-            assert find_pre_equilibria(game, m) == reference_scan(game, m), (
-                game.name,
-                m,
-            )
+def test_scan_matches_reference_scan():
+    for game, m in label_corpus():
+        assert find_pre_equilibria(game, m) == reference_scan(game, m), (
+            game.name,
+            m,
+        )
 
 
 def test_scan_labels_each_grid_once_per_player(monkeypatch):
+    # the labeler sums integer numerators once per player and tuple of
+    # the other players' vertices: it builds no validated profile and
+    # calls neither deviation_payoffs nor the per-profile root_label
     game = random_game(random.Random(FIXTURE_SEED), (3, 3))
+    tris = player_triangulations(game, 8)
     root_calls = count_calls(monkeypatch, labeling, "root_label")
     deviation_calls = count_calls(monkeypatch, game_module, "deviation_payoffs")
-    find_pre_equilibria(game, 8)
-    assert root_calls == []
-    # one deviation vector per player and per vertex of the other player
-    vertex_counts = [math.comb(8 + 2, 2)] * 2
-    assert len(deviation_calls) <= sum(
-        math.prod(vertex_counts[:i] + vertex_counts[i + 1 :]) for i in range(2)
+    profiles = []
+    init = MixedProfile.__post_init__
+    monkeypatch.setattr(
+        MixedProfile, "__post_init__", lambda self: profiles.append(self) or init(self)
     )
+    labels = grid_labels(game, tris)
+    assert (root_calls, deviation_calls, profiles) == ([], [], [])
+    assert len(labels) == math.comb(8 + 2, 2) ** 2
 
 
 def test_full_cell_at_m1_is_always_a_cert(mp, pd, bos):
