@@ -23,7 +23,7 @@ from cellnash import (
     scan_cells,
 )
 
-from conftest import label_corpus, random_game, random_profile
+from conftest import as_float_game, label_corpus, random_game, random_profile
 
 import random
 
@@ -323,11 +323,15 @@ def gain_table_strings(gains, best, total, up):
     return [[fmt(g) for g in row] for row in gains], [fmt(b) for b in best], fmt(total), list(up)
 
 
-def test_gain_table_matches_reference_on_label_corpus():
+@pytest.mark.parametrize("payoffs", ["rational", "float"])
+def test_gain_table_matches_reference_on_label_corpus(payoffs):
     # every vertex profile and every certificate barycenter of the corpus,
-    # whose games include rational payoffs
+    # whose games include rational payoffs; as floats, the payoffs are read
+    # as the exact binary fractions they hold
     checked = 0
     for game, m in label_corpus():
+        if payoffs == "float":
+            game = as_float_game(game)
         tris = player_triangulations(game, m)
         profiles = [
             MixedProfile(combo)

@@ -21,7 +21,7 @@ from cellnash import (
     root_motion,
 )
 
-from conftest import label_corpus, make_game, random_game, random_profile
+from conftest import as_float_game, label_corpus, make_game, random_game, random_profile
 
 
 def test_label_forced_by_singleton_supports(mp):
@@ -45,8 +45,11 @@ def reference_grid_labels(game, tris):
     ]
 
 
-def test_grid_labels_match_root_label_everywhere():
+@pytest.mark.parametrize("payoffs", ["rational", "float"])
+def test_grid_labels_match_root_label_everywhere(payoffs):
     for game, m in label_corpus():
+        if payoffs == "float":
+            game = as_float_game(game)
         tris = player_triangulations(game, m)
         assert grid_labels(game, tris) == reference_grid_labels(game, tris), (
             game.name,

@@ -38,6 +38,7 @@ from conftest import (
     PRISONERS_DILEMMA,
     ROCK_PAPER_SCISSORS,
     FIXTURE_SEED,
+    as_float_game,
     count_calls,
     label_corpus,
     make_game,
@@ -99,8 +100,11 @@ def reference_scan(game, resolutions):
     return certs
 
 
-def test_scan_matches_reference_scan():
+@pytest.mark.parametrize("payoffs", ["rational", "float"])
+def test_scan_matches_reference_scan(payoffs):
     for game, m in label_corpus():
+        if payoffs == "float":
+            game = as_float_game(game)
         assert find_pre_equilibria(game, m) == reference_scan(game, m), (
             game.name,
             m,
