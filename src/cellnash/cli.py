@@ -305,3 +305,7 @@ def run_cli(argv: Optional[Sequence[str]] = None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

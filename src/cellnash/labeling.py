@@ -32,6 +32,7 @@ from .game import (
     Game,
     MixedProfile,
     PureProfile,
+    check_profile,
     deviation_payoffs,
     deviation_sums,
     evaluate_payoff,
@@ -44,18 +45,24 @@ from .subdivision import Triangulation
 
 def root_label(game: Game, sigma: MixedProfile) -> PureProfile:
     """Per player, the supported strategy with the smallest deviation
-    payoff (lowest index on ties)."""
+    payoff (lowest index on ties).
+
+    Deviation payoffs are summed on integers, as in :func:`grid_labels`:
+    each strategy vector over its common denominator and each payoff
+    tensor over its own, which keeps every argmin and tie exactly.
+    """
+    check_profile(game, sigma)
+    supports = [
+        [(s * stride, k) for s, k in enumerate(scalars.as_integers(vector)[0]) if k]
+        for vector, stride in zip(sigma.dist, game.strides)
+    ]
     choices = []
-    for i in range(game.num_players):
+    for i, (count, stride) in enumerate(zip(game.shape, game.strides)):
         support = support_or_raise(sigma, i)
-        devs = deviation_payoffs(game, sigma, i)
-        best_s = support[0]
-        best_v = devs[best_s]
-        for s in support[1:]:
-            if best_v > devs[s]:
-                best_s = s
-                best_v = devs[s]
-        choices.append(best_s)
+        tensor, _ = scalars.as_integers(game.payoffs[i])
+        others = supports[:i] + supports[i + 1 :]
+        devs = deviation_sums(tensor, others, range(0, count * stride, stride))
+        choices.append(min(support, key=devs.__getitem__))  # first minimum wins
     return PureProfile(tuple(choices))
 
 

@@ -2,10 +2,11 @@
 
 A product cell is a certificate when the labels of its vertex profiles
 hit every pure strategy combination exactly once.  The scan labels the
-whole grid once (cells share vertices), reads a cell's labels at sums of
-per-player offsets into that flat list, aborts a cell on the first
-repeated label, and walks cells in lexicographic order so the output
-order — and therefore every downstream tie-break — is reproducible.
+whole grid once, ORs each last-player cell's label bits once per tuple of
+the other players' vertices, and ORs those masks over a cell's other
+factors.  A cell has one vertex profile per pure combination, so by
+pigeonhole its mask is full exactly when no label repeats.  Cells are
+walked in lexicographic order, so every downstream tie-break reproduces.
 
 ``solve`` refines the grid geometrically, keeps the certificate whose
 barycenter has the smallest total gain, and stops once the barycenter's
@@ -19,8 +20,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Optional, Sequence
 
 from . import scalars
@@ -90,31 +93,32 @@ def scan_cells(
         for choices in itertools.product(*(range(count) for count in game.shape))
     ]
     labels = grid_labels(game, tris)
-    # a cell's vertices as offsets into the label list: vertex index times
-    # the product of the later players' vertex counts
+    *prefix, last = tris
+    # a prefix cell's (all players' but the last) vertex tuples as offsets
+    # into the label list: vertex index times the later vertex counts
     offsets = []
-    for j, tri in enumerate(tris):
+    for j, tri in enumerate(prefix):
         step = math.prod(len(t.vertices) for t in tris[j + 1 :])
         offsets.append([tuple(v * step for v in cell) for cell in tri.cells])
+    # per such offset, one row: each last-player cell's OR of label bits
+    width = len(last.vertices)
+    columns = list(zip(*last.cells))
+    or_rows = partial(map, operator.or_)  # elementwise, lazily
+    masks = {}
+    for start in range(0, len(labels), width):
+        bits = [1 << flat for flat in labels[start : start + width]]
+        masks[start] = list(reduce(or_rows, (map(bits.__getitem__, c) for c in columns)))
+    full = (1 << len(pure)) - 1
 
     certs: list[PreEquilibriumCert] = []
-    for factor in itertools.product(*(range(len(t.cells)) for t in tris)):
-        seen = 0
-        read = []
-        for parts in itertools.product(
-            *(offsets[j][c] for j, c in enumerate(factor))
-        ):
-            flat = labels[sum(parts)]
-            bit = 1 << flat
-            if seen & bit:
-                break
-            seen |= bit
-            read.append(flat)
-        else:
+    for factor in itertools.product(*(range(len(t.cells)) for t in prefix)):
+        keys = list(map(sum, itertools.product(*map(list.__getitem__, offsets, factor))))
+        rows = reduce(or_rows, map(masks.__getitem__, keys))
+        for c in itertools.compress(itertools.count(), map(full.__eq__, rows)):
             certs.append(
                 PreEquilibriumCert(
-                    cell=build_product_cell(tris, factor),
-                    labels=tuple(pure[flat] for flat in read),
+                    cell=build_product_cell(tris, factor + (c,)),
+                    labels=tuple(pure[labels[k + v]] for k in keys for v in last.cells[c]),
                     resolutions=resolutions,
                 )
             )

@@ -2,10 +2,13 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import cellnash
 from cellnash import labeling, serialize_game, subdivision
 from cellnash.cli import EXIT_INPUT_ERROR, EXIT_NOT_MET, EXIT_OK, run_cli
 
@@ -368,6 +371,20 @@ def test_stdout_matches_golden_files(capsys, name):
         golden = os.path.join(GOLDEN, f"{name}.{command}.json")
         with open(golden, encoding="utf-8") as handle:
             assert out == handle.read(), command
+
+
+def test_python_dash_m_runs_the_cli():
+    # the package this suite imports, run as ``python -m cellnash``; stdout
+    # compared byte for byte
+    src = os.path.dirname(os.path.dirname(cellnash.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cellnash", "solve", MP, "--eps", "1/10"],
+        capture_output=True,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    with open(os.path.join(GOLDEN, "matching_pennies.solve.json"), "rb") as handle:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, handle.read(), b"")
 
 
 def test_over_long_output_is_parameter_out_of_range(capsys, tmp_path):

@@ -22,13 +22,16 @@ from cellnash import (
     player_triangulations,
     representative,
     root_label,
+    serialize_game,
     solve,
 )
+from cellnash import cli
 from cellnash.search import (
     PLAYER_UP_EVERYWHERE,
     SOME_PLAYER_NOT_UP,
     PreEquilibriumCert,
     default_budget,
+    scan_cells,
 )
 from cellnash.subdivision import build_product_cell, product_cells
 
@@ -109,6 +112,47 @@ def test_scan_matches_reference_scan(payoffs):
             game.name,
             m,
         )
+
+
+# (shape, m, draw): the game is the draw-th random game of that shape from
+# Random(FIXTURE_SEED); each case has at least one certificate
+MASK_WALK_CASES = {
+    "3x1": ((3, 1), 4, 0),
+    "1x3": ((1, 3), 4, 0),
+    "2x1x2": ((2, 1, 2), 4, 0),
+    "1": ((1,), 3, 0),
+    "3x3-m16": ((3, 3), 16, 1),
+    "2x2x2-m8": ((2, 2, 2), 8, 7),
+    "volume-check-2": ((2,), 8, 0),
+    "volume-check-3": ((3,), 4, 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MASK_WALK_CASES))
+def test_mask_walk_matches_reference_scan(case, monkeypatch, tmp_path, capsys):
+    # one-strategy players (one cell of one vertex), an empty prefix, and
+    # the one-player scan that volume-check runs on its own triangulation
+    shape, m, draw = MASK_WALK_CASES[case]
+    rng = random.Random(FIXTURE_SEED)
+    for _ in range(draw + 1):
+        game = random_game(rng, shape)
+    expected = reference_scan(game, m)
+    assert expected
+    if case.startswith("volume-check"):
+        path = tmp_path / "game.json"
+        path.write_text(serialize_game(game))
+        scans = []
+
+        def scan(*args):
+            scans.append(scan_cells(*args))
+            return scans[-1]
+
+        monkeypatch.setattr(cli, "scan_cells", scan)
+        cli.run_cli(["volume-check", str(path), "--m", str(m)])
+        capsys.readouterr()
+        assert scans == [expected]
+    else:
+        assert find_pre_equilibria(game, m) == expected
 
 
 def test_scan_labels_each_grid_once_per_player(monkeypatch):
