@@ -22,7 +22,7 @@ import sys
 from typing import Optional, Sequence
 
 from . import scalars
-from .errors import CellNashError, ParseError
+from .errors import CellNashError, NoPreEquilibriumFound, ParseError
 from .game import Game, gain_table
 from .gamefile import (
     gain_table_json,
@@ -33,7 +33,7 @@ from .gamefile import (
 )
 from .labeling import root_label
 from .oracle import grid_min_regret, support_enumeration_2p, verify_profile
-from .search import find_pre_equilibria, representative, scan_cells, solve
+from .search import representative, scan_cells, solve
 from .subdivision import cell_diameter, player_triangulations
 from .volume import moved_volumes, total_volume_polynomial
 
@@ -73,15 +73,12 @@ def _write_output(path: str, text: str) -> None:
 
 def _emit_error(exc: CellNashError) -> int:
     payload: dict = {"error": {"code": exc.code, "message": str(exc)}}
-    if hasattr(exc, "resolutions_tried"):
+    not_met = isinstance(exc, NoPreEquilibriumFound)
+    if not_met:
         payload["error"]["resolutions_tried"] = exc.resolutions_tried
         payload["error"]["cells_scanned"] = exc.cells_scanned
     _emit(payload)
-    return (
-        EXIT_NOT_MET
-        if exc.code in ("no-pre-equilibrium-found",)
-        else EXIT_INPUT_ERROR
-    )
+    return EXIT_NOT_MET if not_met else EXIT_INPUT_ERROR
 
 
 def _cmd_solve(args) -> int:
@@ -122,9 +119,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_cells(args) -> int:
     game = _read_game(args.game)
-    certs = find_pre_equilibria(game, args.m, budget=args.budget)
-    # a simplex with k strategies has m**(k-1) cells at resolution m
-    total_cells = math.prod(args.m ** (count - 1) for count in game.shape)
+    tris = player_triangulations(game, args.m, args.budget)
+    certs = scan_cells(game, tris)
     entries = []
     for cert in certs:
         rep = representative(cert)
@@ -146,7 +142,7 @@ def _cmd_cells(args) -> int:
         {
             "game": game.name,
             "resolutions": [args.m] * game.num_players,
-            "cells_scanned": total_cells,
+            "cells_scanned": math.prod(len(t.cells) for t in tris),
             "count": len(certs),
             "certs": entries,
         }

@@ -123,35 +123,21 @@ def classification_json(classification: CellClassification) -> dict:
     return data
 
 
+def _optional(convert, value):
+    return None if value is None else convert(value)
+
+
 def stage_json(record: StageRecord, include_timing: bool) -> dict:
     data: dict[str, Any] = {
         "stage": record.stage,
         "resolutions": list(record.resolutions),
         "cells_scanned": record.cells_scanned,
         "pre_equilibria_found": record.pre_equilibria_found,
-        "chosen_cell": (
-            list(record.chosen_cell) if record.chosen_cell is not None else None
-        ),
-        "classification": (
-            classification_json(record.classification)
-            if record.classification is not None
-            else None
-        ),
-        "representative": (
-            profile_json(record.representative)
-            if record.representative is not None
-            else None
-        ),
-        "total_gain": (
-            scalars.format_scalar(record.total_gain)
-            if record.total_gain is not None
-            else None
-        ),
-        "max_regret": (
-            scalars.format_scalar(record.max_regret)
-            if record.max_regret is not None
-            else None
-        ),
+        "chosen_cell": _optional(list, record.chosen_cell),
+        "classification": _optional(classification_json, record.classification),
+        "representative": _optional(profile_json, record.representative),
+        "total_gain": _optional(scalars.format_scalar, record.total_gain),
+        "max_regret": _optional(scalars.format_scalar, record.max_regret),
         "diameter": record.diameter,
     }
     if include_timing:

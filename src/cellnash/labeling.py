@@ -116,8 +116,9 @@ def root_motion(game: Game, sigma: MixedProfile, t: Scalar) -> MixedProfile:
     if not 0 <= t <= 1:
         raise ParameterOutOfRange(f"t={t} outside [0, 1]")
     label = root_label(game, sigma)
+    t = scalars.exact([t])[0]
     dists = []
-    for vector, target in zip(sigma.dist, label.choices):
+    for vector, target in zip(map(scalars.exact, sigma.dist), label.choices):
         moved = tuple(
             p + t * ((1 if s == target else 0) - p) for s, p in enumerate(vector)
         )

@@ -18,11 +18,11 @@ from .scalars import Scalar, as_integers
 
 
 def determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
-    """Determinant by fraction-free-ish Gaussian elimination."""
+    """Determinant by Gaussian elimination on exact Fractions."""
     n = len(matrix)
     if n == 0:
         return 1
-    rows = [[Fraction(x) if not isinstance(x, float) else x for x in row] for row in matrix]
+    rows = [[Fraction(x) for x in row] for row in matrix]
     sign = 1
     det: Scalar = 1
     for col in range(n):

@@ -128,17 +128,12 @@ def scan_cells(
 def representative(cert: PreEquilibriumCert) -> MixedProfile:
     """Barycenter of the cell: per player, the average of the factor
     cell's vertices, exact."""
-    dists = []
-    for vertex_group in cert.cell.factor_vertices:
-        k = len(vertex_group)
-        coords = []
-        for c in range(len(vertex_group[0])):
-            total: Scalar = 0
-            for vertex in vertex_group:
-                total = total + vertex[c]
-            coords.append(scalars.exact_div(total, k))
-        dists.append(tuple(coords))
-    return MixedProfile(tuple(dists))
+    return MixedProfile(
+        tuple(
+            tuple(scalars.exact_div(sum(column), len(group)) for column in zip(*group))
+            for group in cert.cell.factor_vertices
+        )
+    )
 
 
 def classify_cell(game: Game, cell: ProductCell) -> CellClassification:
@@ -211,74 +206,59 @@ def solve(
         budget = default_budget()
 
     records: list[StageRecord] = []
-    best: Optional[tuple[MixedProfile, Scalar, GainTable]] = None
-    converged = False
-    total_cells = 0
+    final_profile: Optional[MixedProfile] = None  # the last chosen representative
     m = m0
     for stage in range(max_stages):
         start = time.perf_counter()
-        resolutions = (m,) * game.num_players
         tris = player_triangulations(game, m, budget)
         certs = scan_cells(game, tris)
-        scanned = math.prod(len(t.cells) for t in tris)
-        total_cells += scanned
-        if not certs:
-            records.append(
-                StageRecord(
-                    stage=stage,
-                    resolutions=resolutions,
-                    cells_scanned=scanned,
-                    pre_equilibria_found=0,
-                    wall_clock_s=time.perf_counter() - start,
-                )
+        chosen = {}
+        if certs:
+            # lexicographic order, and min keeps the first minimum on ties;
+            # the candidates are lazy, so no list of gain tables is built
+            reps = map(representative, certs)
+            cert, final_profile, table = min(
+                ((c, rep, gain_table(game, rep)) for c, rep in zip(certs, reps)),
+                key=lambda candidate: candidate[2].total,
             )
-            m *= refine_factor
-            continue
-        chosen = None
-        chosen_table = None
-        chosen_rep = None
-        for cert in certs:  # lexicographic order; first minimum wins ties
-            rep = representative(cert)
-            table = gain_table(game, rep)
-            if chosen is None or table.total < chosen_table.total:
-                chosen = cert
-                chosen_table = table
-                chosen_rep = rep
-        regret = max(chosen_table.best)
+            chosen = dict(
+                chosen_cell=cert.cell.factor,
+                classification=classify_cell(game, cert.cell),
+                representative=final_profile,
+                total_gain=table.total,
+                max_regret=max(table.best),
+                diameter=cell_diameter(cert.cell),
+            )
         records.append(
             StageRecord(
                 stage=stage,
-                resolutions=resolutions,
-                cells_scanned=scanned,
+                resolutions=(m,) * game.num_players,
+                cells_scanned=math.prod(len(t.cells) for t in tris),
                 pre_equilibria_found=len(certs),
-                chosen_cell=chosen.cell.factor,
-                classification=classify_cell(game, chosen.cell),
-                representative=chosen_rep,
-                total_gain=chosen_table.total,
-                max_regret=regret,
-                diameter=cell_diameter(chosen.cell),
+                **chosen,
                 wall_clock_s=time.perf_counter() - start,
             )
         )
-        best = (chosen_rep, regret, chosen_table)
-        if regret <= eps_target:
-            converged = True
+        if _meets(records[-1], eps_target):
             break
         m *= refine_factor
-    if best is None:
+    if final_profile is None:
         raise NoPreEquilibriumFound(
             stage=len(records) - 1,
             resolutions_tried=[list(r.resolutions) for r in records],
-            cells_scanned=total_cells,
+            cells_scanned=sum(r.cells_scanned for r in records),
         )
-    final_profile, _, _ = best
     final_table = gain_table(game, final_profile)  # recomputed from scratch
     return SolveReport(
         stages=tuple(records),
         final_profile=final_profile,
         final_max_regret=max(final_table.best),
         final_gain_table=final_table,
-        converged=converged,
+        converged=_meets(records[-1], eps_target),
         eps_target=eps_target,
         budget=budget,
     )
+
+
+def _meets(record: StageRecord, eps_target: Scalar) -> bool:
+    return record.max_regret is not None and record.max_regret <= eps_target

@@ -23,6 +23,7 @@ from .errors import NotSinglePlayer, ParameterOutOfRange
 from .game import Game, MixedProfile
 from .labeling import grid_labels, root_label
 from .linalg import determinant
+from . import scalars
 from .scalars import Scalar
 from .subdivision import Triangulation
 
@@ -170,6 +171,7 @@ def _moved_volume(
     dim = tri.dim
     if dim == 0:
         return 1
+    t = scalars.exact([t])[0]
     vertices = [tri.vertices[v] for v in cell]
 
     def moved_point(vertex, label):

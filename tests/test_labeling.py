@@ -116,6 +116,16 @@ def test_motion_midpoint_one_player():
     assert moved.dist == ((Fraction(5, 8), Fraction(3, 8)),)
 
 
+def test_motion_reads_float_t_exactly(mp):
+    sigma = MixedProfile(
+        ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 4), Fraction(3, 4)))
+    )
+    as_floats = MixedProfile(((0.5, 0.5), (0.25, 0.75)))
+    for t in (0.1, 0.3):
+        assert root_motion(mp, sigma, t) == root_motion(mp, sigma, Fraction(t))
+        assert root_motion(mp, as_floats, t) == root_motion(mp, sigma, Fraction(t))
+
+
 def test_motion_rejects_t_outside_unit_interval(mp):
     sigma = PureProfile((0, 0)).as_mixed(mp)
     with pytest.raises(errors.ParameterOutOfRange):

@@ -1,11 +1,12 @@
-"""Exact linear solves against the Fraction Gauss–Jordan reference."""
+"""Exact determinants and linear solves against Fraction references."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from cellnash.linalg import solve_affine
+from cellnash.linalg import determinant, solve_affine
 
 
 def reference_solve_affine(matrix, rhs):
@@ -112,3 +113,27 @@ def test_solve_affine_edge_cases(matrix, rhs):
 
 def test_solve_affine_empty_system():
     assert solve_affine([], []) == reference_solve_affine([], []) == ([], [])
+
+
+def reference_determinant(matrix):
+    # Leibniz formula on exact Fractions
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        term = Fraction(-1) ** sum(
+            perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2)
+        )
+        for r, c in enumerate(perm):
+            term *= Fraction(matrix[r][c])
+        total += term
+    return total
+
+
+@pytest.mark.parametrize("kind", sorted(DRAWS))
+def test_determinant_matches_leibniz_reference(kind):
+    # a float entry counts as the exact binary fraction it holds
+    rng = random.Random(31337 + len(kind))
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        matrix = [[DRAWS[kind](rng) for _ in range(n)] for _ in range(n)]
+        assert determinant(matrix) == reference_determinant(matrix), matrix

@@ -348,6 +348,29 @@ def test_solve_raises_when_every_stage_is_empty():
     assert exc.cells_scanned == 4 + 16 + 64 + 256 + 1024 + 4096
 
 
+def test_solve_tie_on_total_gain_keeps_first_cell():
+    # the three certificates of this coordination game tie at total 3/16;
+    # the first in lexicographic cell order is the one reported
+    game = make_game((2, 2), ((1, 0, 0, 1), (1, 0, 0, 1)))
+    certs = find_pre_equilibria(game, 4)
+    assert [c.cell.factor for c in certs] == [(0, 0), (2, 2), (3, 3)]
+    assert {gain_table(game, representative(c)).total for c in certs} == {
+        Fraction(3, 16)
+    }
+    report = solve(game, 0, m0=4, max_stages=1)
+    assert report.stages[0].chosen_cell == (0, 0)
+    assert report.stages[0].total_gain == Fraction(3, 16)
+
+
+def test_solve_carries_last_certificate_over_empty_stages():
+    # certifies once at m=1; the stages at m=2 and m=4 come up empty
+    report = solve(BOUNDARY_TIE_GAME, 0, m0=1, max_stages=3)
+    assert [s.pre_equilibria_found for s in report.stages] == [1, 0, 0]
+    assert not report.converged
+    assert report.final_profile == report.stages[0].representative
+    assert report.final_max_regret == Fraction(9, 4)
+
+
 def test_solve_validates_parameters(mp):
     with pytest.raises(errors.NegativeEpsilon):
         solve(mp, Fraction(-1, 10))

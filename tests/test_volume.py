@@ -117,11 +117,12 @@ def test_polynomial_matches_independent_numeric_path():
     for game in one_player_games():
         dim = game.shape[0] - 1
         tri = triangulate(dim, 4)
+        samples = [Fraction(k, dim + 2) for k in range(dim + 3)]
         for idx in range(len(tri.cells)):
             poly = cell_volume_polynomial(game, tri, idx)
-            for k in range(dim + 3):
-                t = Fraction(k, dim + 2)
-                assert poly_eval(poly, t) == moved_cell_volume(game, tri, idx, t)
+            # a float t is read as the exact binary fraction it holds
+            for t in samples + [0.1, 0.3, 0.7]:
+                assert poly_eval(poly, Fraction(t)) == moved_cell_volume(game, tri, idx, t)
 
 
 def test_three_strategy_cancellation():
