@@ -37,9 +37,9 @@ def parse_game(text: str) -> Game:
             raise ParseError(f"strategies[{i}] must contain strings")
         names.append(tuple(group))
     players = raw.get("players", len(names))
-    if players != len(names):
+    if type(players) is not int or players != len(names):  # True == 1, 2.0 == 2
         raise ParseError(
-            f"field 'players' is {players} but {len(names)} strategy lists given"
+            f"field 'players' must be the integer {len(names)}, one per strategy list"
         )
     payoffs_raw = raw.get("payoffs")
     if not isinstance(payoffs_raw, list) or len(payoffs_raw) != len(names):

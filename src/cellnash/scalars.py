@@ -91,10 +91,14 @@ def _parse_string(text: str) -> Fraction:
 def format_scalar(value: Scalar) -> str:
     """JSON-ready form: the canonical ``p/q`` (or integer) string.
 
+    A float renders as the exact binary fraction it holds, the value the
+    arithmetic used, so :func:`parse_scalar` reads back the same number.
     A rational whose numerator or denominator has more digits than Python
     converts to a string (``sys.get_int_max_str_digits()``) is an error,
     as an over-long integer is on input.
     """
+    if isinstance(value, float):
+        value = _canonical(Fraction(value))
     try:
         return str(value)
     except ValueError:

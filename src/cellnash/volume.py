@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Sequence
 
 from .errors import NotSinglePlayer, ParameterOutOfRange
@@ -31,11 +32,7 @@ Poly = tuple[Fraction, ...]  # coefficients, constant term first
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
-    n = max(len(a), len(b))
-    return tuple(
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    )
+    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=Fraction(0)))
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
@@ -99,18 +96,6 @@ def _single_player_cell(game: Game, tri: Triangulation, cell_index: int):
     return cell, labels
 
 
-def _moved_coordinate_polys(
-    vertex: Sequence[Scalar], label: int
-) -> list[Poly]:
-    # coordinate c moves linearly from vertex[c] to 1 if c == label else 0
-    polys = []
-    for c, start in enumerate(vertex):
-        start = Fraction(start)
-        target = Fraction(1 if c == label else 0)
-        polys.append(_poly_trim((start, target - start)))
-    return polys
-
-
 def cell_volume_polynomial(
     game: Game, tri: Triangulation, cell_index: int
 ) -> Poly:
@@ -122,26 +107,30 @@ def cell_volume_polynomial(
 def _volume_polynomial(
     tri: Triangulation, cell: Sequence[int], labels: Sequence[int]
 ) -> Poly:
-    # labels[k] is the label of vertex cell[k]
-    moved = [
-        _moved_coordinate_polys(tri.vertices[v], lab) for v, lab in zip(cell, labels)
+    # vertex r with label l_r moves to v_r + t*(e_{l_r} - v_r), so each
+    # edge-matrix entry is linear in t
+    vertices = [tri.vertices[v] for v in cell]
+    v0, l0 = vertices[0], labels[0]
+    matrix = [
+        [
+            (
+                Fraction(vr[c] - v0[c]),
+                Fraction((c == lr) - vr[c] - (c == l0) + v0[c]),
+            )
+            for c in range(1, tri.dim + 1)
+        ]
+        for vr, lr in zip(vertices[1:], labels[1:])
     ]
-    dim = tri.dim
-    if dim == 0:
-        return (Fraction(1),)
-    base = moved[0]
-    matrix = []
-    for row in moved[1:]:
-        matrix.append(
-            [
-                _poly_trim(_poly_add(row[c], _poly_scale(base[c], Fraction(-1))))
-                for c in range(1, dim + 1)
-            ]
-        )
     poly = _poly_trim(_poly_det(matrix))
     if poly[0] < 0:
         poly = _poly_scale(poly, Fraction(-1))
     return poly
+
+
+def _parameter(t: Scalar) -> Scalar:
+    if not 0 <= t <= 1:
+        raise ParameterOutOfRange(f"t={t} outside [0, 1]")
+    return scalars.exact([t])[0]
 
 
 def moved_cell_volume(
@@ -149,15 +138,13 @@ def moved_cell_volume(
 ) -> Scalar:
     """Signed volume of one moved cell at parameter ``t``, computed from a
     numeric determinant rather than the polynomial form."""
-    if not 0 <= t <= 1:
-        raise ParameterOutOfRange(f"t={t} outside [0, 1]")
+    t = _parameter(t)
     return _moved_volume(tri, *_single_player_cell(game, tri, cell_index), t)
 
 
 def moved_volumes(game: Game, tri: Triangulation, t: Scalar) -> tuple[Scalar, ...]:
     """:func:`moved_cell_volume` of every cell, from one labeling of the grid."""
-    if not 0 <= t <= 1:
-        raise ParameterOutOfRange(f"t={t} outside [0, 1]")
+    t = _parameter(t)
     _check_single_player(game)
     labels = grid_labels(game, (tri,))
     return tuple(
@@ -165,33 +152,21 @@ def moved_volumes(game: Game, tri: Triangulation, t: Scalar) -> tuple[Scalar, ..
     )
 
 
+def _edges(points: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
+    # each point minus the first, less coordinate 0, which the others fix
+    return [[p - q for p, q in zip(point[1:], points[0][1:])] for point in points[1:]]
+
+
 def _moved_volume(
     tri: Triangulation, cell: Sequence[int], labels: Sequence[int], t: Scalar
 ) -> Scalar:
-    dim = tri.dim
-    if dim == 0:
-        return 1
-    t = scalars.exact([t])[0]
     vertices = [tri.vertices[v] for v in cell]
-
-    def moved_point(vertex, label):
-        return [
-            p + t * ((1 if c == label else 0) - p) for c, p in enumerate(vertex)
-        ]
-
-    points = [moved_point(v, lab) for v, lab in zip(vertices, labels)]
-    matrix = [
-        [points[r][c] - points[0][c] for c in range(1, dim + 1)]
-        for r in range(1, dim + 1)
+    moved = [
+        [p + t * ((c == label) - p) for c, p in enumerate(vertex)]
+        for vertex, label in zip(vertices, labels)
     ]
-    value = determinant(matrix)
-    start = [
-        [vertices[r][c] - vertices[0][c] for c in range(1, dim + 1)]
-        for r in range(1, dim + 1)
-    ]
-    if determinant(start) < 0:
-        value = -value
-    return value
+    value = determinant(_edges(moved))
+    return -value if determinant(_edges(vertices)) < 0 else value
 
 
 @dataclass(frozen=True)

@@ -306,6 +306,15 @@ def test_json_float_literals_are_parse_errors(capsys, tmp_path, payoff):
     assert json.loads(out)["error"]["code"] == "parse-error"
 
 
+def test_non_integer_players_field_is_parse_error(capsys, tmp_path):
+    path = tmp_path / "g.json"
+    data = json.loads(serialize_game(make_game((2, 2), BATTLE_OF_SEXES.payoffs)))
+    path.write_text(json.dumps(dict(data, players=2.0)))
+    code, out = run(capsys, "solve", str(path), "--eps", "1")
+    assert code == EXIT_INPUT_ERROR
+    assert json.loads(out)["error"]["code"] == "parse-error"
+
+
 @pytest.mark.parametrize("where", ["payoff", "eps", "profile"])
 @pytest.mark.parametrize("value", ["1e30000000", "1e-30000000"])
 def test_huge_decimal_exponent_is_a_quick_parse_error(capsys, tmp_path, where, value):
@@ -371,6 +380,25 @@ def test_stdout_matches_golden_files(capsys, name):
         golden = os.path.join(GOLDEN, f"{name}.{command}.json")
         with open(golden, encoding="utf-8") as handle:
             assert out == handle.read(), command
+
+
+@pytest.mark.parametrize(
+    "name", ["one_player", "three_strategies", "four_strategies"]
+)
+def test_volume_check_matches_golden_files(capsys, tmp_path, name):
+    # stdout and the sample CSV pinned byte for byte; the 4-strategy game
+    # runs 3x3 determinants and cubic cell polynomials
+    csv_path = tmp_path / "samples.csv"
+    code, out = run(
+        capsys, "volume-check", os.path.join(DATA, f"{name}.json"),
+        "--m", "4", "--samples-out", str(csv_path),
+    )
+    assert code == EXIT_OK
+    golden = os.path.join(GOLDEN, f"{name}.volume-check")
+    with open(golden + ".json", encoding="utf-8") as handle:
+        assert out == handle.read()
+    with open(golden + ".csv", encoding="utf-8") as handle:
+        assert csv_path.read_text(encoding="utf-8") == handle.read()
 
 
 def test_python_dash_m_runs_the_cli():

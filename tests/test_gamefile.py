@@ -17,7 +17,7 @@ from cellnash import (
 )
 from cellnash.gamefile import gain_table_json, profile_json
 
-from conftest import MATCHING_PENNIES, NAMED_GAMES
+from conftest import MATCHING_PENNIES, NAMED_GAMES, make_game
 
 MP_JSON = json.dumps(
     {
@@ -78,6 +78,22 @@ def test_parse_game_player_count_mismatch():
         parse_game(text)
 
 
+@pytest.mark.parametrize(
+    "players, strategies",
+    [
+        pytest.param(2.0, [["a"], ["b"]], id="float"),
+        pytest.param(True, [["a"]], id="bool"),
+        pytest.param("2", [["a"], ["b"]], id="string"),
+    ],
+)
+def test_parse_game_players_must_be_an_integer(players, strategies):
+    text = json.dumps(
+        {"players": players, "strategies": strategies, "payoffs": [[0]] * len(strategies)}
+    )
+    with pytest.raises(errors.ParseError, match="must be the integer"):
+        parse_game(text)
+
+
 def test_parse_game_invalid_json():
     with pytest.raises(errors.ParseError):
         parse_game("{not json")
@@ -94,6 +110,25 @@ def test_round_trip_rational_payoffs():
 
     game = make_game((2, 2), ((Fraction(1, 3), 0, 1, Fraction(-7, 2)), (0, 0, 0, 0)))
     assert parse_game(serialize_game(game)) == game
+
+
+FLOAT_GAME = make_game(
+    (2, 2), ((0.1, 0.2, 0.3, 0.1), (0.2, 0.1, 0.1, 0.3)), "floats"
+)
+
+
+def test_round_trip_float_payoffs():
+    # a float is written as the exact binary fraction the arithmetic used
+    assert parse_game(serialize_game(FLOAT_GAME)) == FLOAT_GAME
+
+
+def test_float_game_report_survives_round_trip():
+    again = parse_game(serialize_game(FLOAT_GAME))
+    assert report_json(solve(again, 0), again) == report_json(
+        solve(FLOAT_GAME, 0), FLOAT_GAME
+    )
+    report = report_json(solve(FLOAT_GAME, 0.1), FLOAT_GAME)
+    assert report["eps_target"] == "3602879701896397/36028797018963968"
 
 
 def test_parse_profile_against_game():

@@ -77,3 +77,10 @@ def test_decimal_strings_keep_to_the_digit_limit():
     ):
         with pytest.raises(errors.ParseError):
             scalars.parse_scalar(text)
+
+
+def test_format_float_as_its_exact_fraction():
+    assert scalars.format_scalar(0.1) == "3602879701896397/36028797018963968"
+    assert scalars.format_scalar(0.5) == "1/2"
+    assert scalars.format_scalar(-2.0) == "-2"
+    assert scalars.parse_scalar(scalars.format_scalar(0.1)) == 0.1

@@ -134,3 +134,23 @@ def test_three_strategy_cancellation():
     # the four triangles' quadratics cancel exactly, not approximately
     degree = max(len(p) for p in result.cell_polys)
     assert degree >= 2
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize(
+    "payoffs", [(0, 1, 2, 3), (2, 2, 0, 1), (1, 1, 1, 0), (4,)], ids=str
+)
+def test_four_and_one_strategy_games(payoffs, m):
+    # 3x3 determinants and cubic cell polynomials, and the dim-0 grid of a
+    # one-strategy game, whose only cell keeps volume 1 throughout
+    game = make_game((len(payoffs),), (payoffs,))
+    tri = triangulate(len(payoffs) - 1, m)
+    result = total_volume_polynomial(game, tri)
+    assert result.total == (1,)
+    for idx in range(len(tri.cells)):
+        poly = cell_volume_polynomial(game, tri, idx)
+        assert poly == result.cell_polys[idx]
+        for t in (Fraction(1, 3), Fraction(1, 2), 0.7, 1):
+            assert poly_eval(poly, Fraction(t)) == moved_cell_volume(game, tri, idx, t)
+    certified = {cert.cell.factor[0] for cert in find_pre_equilibria(game, m)}
+    assert set(result.nonzero_cells_at_one) <= certified
