@@ -29,6 +29,7 @@ from .errors import (
     IndexOutOfRange,
     InvalidDistribution,
     NegativeEpsilon,
+    ParseError,
     ShapeError,
 )
 from .scalars import Scalar
@@ -39,7 +40,8 @@ class Game:
     """Dense payoff tensors over named strategies.
 
     ``payoffs[i]`` is player ``i``'s tensor flattened row-major with the
-    last player's strategy varying fastest.
+    last player's strategy varying fastest.  A float payoff must be finite:
+    NaN and infinities have no exact value and are a :class:`ParseError`.
     """
 
     strategy_names: tuple[tuple[str, ...], ...]
@@ -67,6 +69,11 @@ class Game:
                 raise ShapeError(
                     f"payoff tensor {i} has {len(tensor)} entries, expected {size}"
                 )
+        # only floats can be non-finite: an exact game costs one type scan
+        if float in set(map(type, itertools.chain(*self.payoffs))):
+            for v in itertools.chain(*self.payoffs):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise ParseError(f"payoff {v} is not finite")
         strides = []
         acc = 1
         for count in reversed(shape):

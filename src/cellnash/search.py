@@ -2,11 +2,15 @@
 
 A product cell is a certificate when the labels of its vertex profiles
 hit every pure strategy combination exactly once.  The scan labels the
-whole grid once, ORs each last-player cell's label bits once per tuple of
-the other players' vertices, and ORs those masks over a cell's other
-factors.  A cell has one vertex profile per pure combination, so by
-pigeonhole its mask is full exactly when no label repeats.  Cells are
-walked in lexicographic order, so every downstream tie-break reproduces.
+whole grid once.  Per distinct slice of the last player's labels (one
+slice per tuple of the other players' vertices) it ORs each last-player
+cell's label bits once, and keeps a bitset of the cells whose labels do
+not repeat.  A prefix cell (its cells of all players but the last) ANDs
+its rows' bitsets and ORs the masks only at the surviving bits.  A cell
+has one vertex profile per pure combination, so by pigeonhole its mask
+is full exactly when no label repeats.  Cells are walked in
+lexicographic order, surviving bits lowest first, so every downstream
+tie-break reproduces.
 
 ``solve`` refines the grid geometrically, keeps the certificate whose
 barycenter has the smallest total gain, and stops once the barycenter's
@@ -100,21 +104,39 @@ def scan_cells(
     for j, tri in enumerate(prefix):
         step = math.prod(len(t.vertices) for t in tris[j + 1 :])
         offsets.append([tuple(v * step for v in cell) for cell in tri.cells])
-    # per such offset, one row: each last-player cell's OR of label bits
+    # per such offset, one row: each last-player cell's OR of label bits,
+    # and the bitset of cells whose labels do not repeat.  A row depends
+    # only on the offset's label slice, so each distinct slice builds one.
     width = len(last.vertices)
+    size = last.dim + 1  # vertices per last-player cell
     columns = list(zip(*last.cells))
     or_rows = partial(map, operator.or_)  # elementwise, lazily
+    rows: dict[tuple[int, ...], tuple[list[int], int]] = {}
     masks = {}
+    live = {}
     for start in range(0, len(labels), width):
-        bits = [1 << flat for flat in labels[start : start + width]]
-        masks[start] = list(reduce(or_rows, (map(bits.__getitem__, c) for c in columns)))
+        key = tuple(labels[start : start + width])
+        if key not in rows:
+            bits = [1 << flat for flat in key]
+            row = list(reduce(or_rows, (map(bits.__getitem__, c) for c in columns)))
+            alive = sum(1 << c for c, mask in enumerate(row) if mask.bit_count() == size)
+            rows[key] = row, alive
+        masks[start], live[start] = rows[key]
     full = (1 << len(pure)) - 1
 
     certs: list[PreEquilibriumCert] = []
     for factor in itertools.product(*(range(len(t.cells)) for t in prefix)):
         keys = list(map(sum, itertools.product(*map(list.__getitem__, offsets, factor))))
-        rows = reduce(or_rows, map(masks.__getitem__, keys))
-        for c in itertools.compress(itertools.count(), map(full.__eq__, rows)):
+        survivors = reduce(operator.and_, map(live.__getitem__, keys))
+        if not survivors:
+            continue
+        picked = list(map(masks.__getitem__, keys))
+        while survivors:  # lowest bit first: lexicographic cell order
+            low = survivors & -survivors
+            survivors ^= low
+            c = low.bit_length() - 1
+            if reduce(operator.or_, [row[c] for row in picked]) != full:
+                continue
             certs.append(
                 PreEquilibriumCert(
                     cell=build_product_cell(tris, factor + (c,)),

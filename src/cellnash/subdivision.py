@@ -153,7 +153,9 @@ def player_triangulations(
 ) -> tuple[Triangulation, ...]:
     """One triangulation per player; a single int applies to everyone.
 
-    Every grid in the package is built here.  A grid whose vertex profile
+    Every grid in the package is built here, once per distinct (strategy
+    count, resolution) pair: players that share the pair share the
+    (frozen) :class:`Triangulation` object.  A grid whose vertex profile
     count or product cell count exceeds ``budget`` (``None`` means
     :func:`default_budget`; below 1 is :class:`ParameterOutOfRange`) is
     refused with :class:`BudgetExceeded` before any triangulation exists:
@@ -183,9 +185,9 @@ def player_triangulations(
     needed = max(profiles, cells)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    return tuple(
-        triangulate(count - 1, m) for count, m in zip(game.shape, resolutions)
-    )
+    pairs = list(zip(game.shape, resolutions))
+    grids = {pair: triangulate(pair[0] - 1, pair[1]) for pair in set(pairs)}
+    return tuple(map(grids.__getitem__, pairs))
 
 
 def vertex_profile_count(triangulations: Sequence[Triangulation]) -> int:

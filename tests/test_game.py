@@ -33,6 +33,18 @@ def test_game_validation_rejects_bad_tensor_length():
         Game(strategy_names=(("a", "b"), ("a", "b")), payoffs=((1, 2, 3), (0, 0, 0, 0)))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_game_validation_rejects_non_finite_payoffs(bad):
+    for payoffs in (((bad, 0),), ((0.5, bad),), ((1, Fraction(1, 3), bad),)):
+        names = (tuple("abc"[: len(payoffs[0])]),)
+        with pytest.raises(errors.ParseError, match=f"payoff {bad} is not finite") as info:
+            Game(strategy_names=names, payoffs=payoffs)
+        assert isinstance(info.value, ValueError)
+    # a second player's tensor is checked as well
+    with pytest.raises(errors.ParseError, match="not finite"):
+        Game(strategy_names=(("a",), ("a", "b")), payoffs=((0, 0), (1.5, bad)))
+
+
 def test_game_validation_rejects_duplicate_names():
     with pytest.raises(errors.ShapeError):
         Game(strategy_names=(("a", "a"),), payoffs=((1, 2),))

@@ -1,5 +1,6 @@
 """Certificate scan, cell classification, and the refinement loop."""
 
+import collections
 import itertools
 import math
 import random
@@ -26,6 +27,7 @@ from cellnash import (
     solve,
 )
 from cellnash import cli
+from cellnash import search as search_module
 from cellnash.search import (
     PLAYER_UP_EVERYWHERE,
     SOME_PLAYER_NOT_UP,
@@ -125,6 +127,10 @@ MASK_WALK_CASES = {
     "2x2x2-m8": ((2, 2, 2), 8, 7),
     "volume-check-2": ((2,), 8, 0),
     "volume-check-3": ((3,), 4, 0),
+    # the certificate's row slice recurs at four other vertex tuples, so
+    # the walk reads a row that several tuples share
+    "4x4-m4-shared-row": ((4, 4), 4, 2),
+    "5x5-m3": ((5, 5), 3, 5),
 }
 
 
@@ -153,6 +159,56 @@ def test_mask_walk_matches_reference_scan(case, monkeypatch, tmp_path, capsys):
         assert scans == [expected]
     else:
         assert find_pre_equilibria(game, m) == expected
+
+
+def test_shared_row_case_reads_a_shared_row():
+    shape, m, draw = MASK_WALK_CASES["4x4-m4-shared-row"]
+    rng = random.Random(FIXTURE_SEED)
+    for _ in range(draw + 1):
+        game = random_game(rng, shape)
+    tris = player_triangulations(game, m)
+    labels = grid_labels(game, tris)
+    width = len(tris[1].vertices)
+    slices = [tuple(labels[s : s + width]) for s in range(0, len(labels), width)]
+    (cert,) = find_pre_equilibria(game, m)
+    tuples = tris[0].cells[cert.cell.factor[0]]
+    assert max(slices.count(slices[v]) for v in tuples) >= 2
+
+
+@pytest.mark.parametrize("shape, m", [((2, 2), 4), ((3, 3), 3), ((2, 3, 2), 2)])
+def test_walk_keeps_cell_order_within_a_prefix_cell(shape, m, monkeypatch):
+    # No seeded game was found with two certificates in one prefix cell,
+    # so stub labels give many: label each player's vertex k/m by
+    # sum(c * k_c) mod (strategy count), which differs along every Kuhn
+    # cell, then overwrite the labels of a seeded twentieth of the profiles.
+    game = make_game(shape, tuple((0,) * math.prod(shape) for _ in shape))
+    tris = player_triangulations(game, m)
+    rng = random.Random(FIXTURE_SEED)
+    labels = []
+    for key in itertools.product(*(t.vertices for t in tris)):
+        choices = [int(sum(c * k * m for c, k in enumerate(v))) % len(v) for v in key]
+        if rng.random() < 0.05:
+            choices = [rng.randrange(len(v)) for v in key]
+        labels.append(game.flat_index(choices))
+    monkeypatch.setattr(search_module, "grid_labels", lambda *args: labels)
+    expected = []
+    counts = [len(t.vertices) for t in tris]
+    for factor in itertools.product(*(range(len(t.cells)) for t in tris)):
+        cells = [t.cells[c] for t, c in zip(tris, factor)]
+        read = [
+            labels[sum(v * math.prod(counts[j + 1 :]) for j, v in enumerate(key))]
+            for key in itertools.product(*cells)
+        ]
+        if len(set(read)) == len(read):
+            expected.append((factor, tuple(read)))
+    got = [
+        (cert.cell.factor, tuple(map(game.flat_index, (p.choices for p in cert.labels))))
+        for cert in scan_cells(game, tris)
+    ]
+    assert got == expected
+    per_prefix = collections.Counter(factor[:-1] for factor, _ in expected)
+    assert max(per_prefix.values()) >= 2
+    assert len(expected) < math.prod(len(t.cells) for t in tris)
 
 
 def test_scan_labels_each_grid_once_per_player(monkeypatch):

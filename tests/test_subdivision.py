@@ -219,6 +219,23 @@ def test_per_player_resolutions():
     assert vertex_profile_count(tris) == 3 * binomial(5, 2)
 
 
+def test_equal_grids_are_built_once_and_shared(monkeypatch):
+    built = []
+    build = subdivision.triangulate
+    monkeypatch.setattr(
+        subdivision, "triangulate", lambda *args: built.append(args) or build(*args)
+    )
+    two_by_three = player_triangulations(make_game((2, 3), ((0,) * 6,) * 2), 4)
+    assert two_by_three[0] is not two_by_three[1]
+    assert sorted(built) == [(1, 4), (2, 4)]
+    built.clear()
+    tris = player_triangulations(make_game((2, 2, 2), ((0,) * 8,) * 3), (2, 2, 4))
+    assert tris[0] is tris[1]
+    assert tris[2] is not tris[0]
+    assert (tris[0].resolution, tris[2].resolution) == (2, 4)
+    assert sorted(built) == [(1, 2), (1, 4)]
+
+
 @pytest.mark.parametrize(
     "shape, resolutions",
     [
