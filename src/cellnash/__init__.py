@@ -12,7 +12,6 @@ from .errors import (
     BudgetExceeded,
     CellNashError,
     DimensionMismatch,
-    EmptySupport,
     IndexOutOfRange,
     InvalidDistribution,
     NegativeEpsilon,
@@ -29,7 +28,6 @@ from .game import (
     MixedProfile,
     PureProfile,
     deviation_payoffs,
-    deviation_profile,
     evaluate_payoff,
     gain_table,
     is_equilibrium,
@@ -67,12 +65,10 @@ from .subdivision import (
     build_product_cell,
     cell_diameter,
     player_triangulations,
-    product_cells,
     triangulate,
 )
 from .volume import (
     VolumePolynomial,
-    cell_volume_polynomial,
     moved_cell_volume,
     moved_volumes,
     total_volume_polynomial,
@@ -85,7 +81,6 @@ __all__ = [
     "CellClassification",
     "CellNashError",
     "DimensionMismatch",
-    "EmptySupport",
     "GainTable",
     "Game",
     "IndexOutOfRange",
@@ -109,11 +104,9 @@ __all__ = [
     "VolumePolynomial",
     "build_product_cell",
     "cell_diameter",
-    "cell_volume_polynomial",
     "check_root_properties",
     "classify_cell",
     "deviation_payoffs",
-    "deviation_profile",
     "evaluate_payoff",
     "find_pre_equilibria",
     "gain_table",
@@ -127,7 +120,6 @@ __all__ = [
     "parse_game",
     "parse_profile",
     "player_triangulations",
-    "product_cells",
     "report_json",
     "representative",
     "root_label",

@@ -37,12 +37,6 @@ class NegativeEpsilon(CellNashError, ValueError):
     code = "negative-epsilon"
 
 
-class EmptySupport(CellNashError, ValueError):
-    """A strategy vector has no positive entries, so no label exists."""
-
-    code = "empty-support"
-
-
 class ParameterOutOfRange(CellNashError, ValueError):
     """A numeric parameter violates its documented range."""
 

@@ -25,10 +25,10 @@ from typing import Sequence
 from . import scalars
 from .errors import (
     DimensionMismatch,
-    EmptySupport,
     IndexOutOfRange,
     InvalidDistribution,
     NegativeEpsilon,
+    ParameterOutOfRange,
     ParseError,
     ShapeError,
 )
@@ -137,15 +137,15 @@ class MixedProfile:
 
     def __post_init__(self):
         for vector in self.dist:
-            if not vector:
-                raise InvalidDistribution("empty strategy vector")
             for p in vector:
                 if not p >= 0:  # also refuses NaN
                     raise InvalidDistribution(f"negative probability {p}")
-            if sum(scalars.exact(vector)) != 1:
-                raise InvalidDistribution(
-                    f"probabilities sum to {sum(vector)}, expected 1"
-                )
+            try:
+                total = sum(scalars.exact(vector))  # an empty vector sums to 0
+            except OverflowError:  # only +inf gets here, and it has no exact value
+                raise InvalidDistribution("infinite probability") from None
+            if total != 1:
+                raise InvalidDistribution(f"probabilities sum to {total}, expected 1")
 
     def support(self, player: int) -> tuple[int, ...]:
         return tuple(s for s, p in enumerate(self.dist[player]) if p > 0)
@@ -186,21 +186,6 @@ def evaluate_payoff(game: Game, sigma: MixedProfile, player: int) -> Scalar:
         for vector, stride in zip(sigma.dist, game.strides)
     ]
     return deviation_sums(scalars.exact(game.payoffs[player]), supports, [0])[0]
-
-
-def deviation_profile(game: Game, sigma: MixedProfile, player: int, strategy: int) -> MixedProfile:
-    """Copy of ``sigma`` with ``player`` switched to the pure ``strategy``."""
-    check_profile(game, sigma)
-    if not 0 <= player < game.num_players:
-        raise IndexOutOfRange(f"player {player} out of range")
-    count = game.shape[player]
-    if not 0 <= strategy < count:
-        raise IndexOutOfRange(f"strategy {strategy} out of range for player {player}")
-    replaced = tuple(1 if t == strategy else 0 for t in range(count))
-    dists = tuple(
-        replaced if j == player else vector for j, vector in enumerate(sigma.dist)
-    )
-    return MixedProfile(dists)
 
 
 def deviation_payoffs(game: Game, sigma: MixedProfile, player: int) -> tuple[Scalar, ...]:
@@ -310,13 +295,13 @@ def is_equilibrium(game: Game, sigma: MixedProfile, eps: Scalar) -> bool:
     Pure deviations suffice: a mixed deviation's payoff is an average of
     pure ones, so its gain never beats the best pure gain.
     """
-    if eps < 0:
-        raise NegativeEpsilon(f"eps {eps} is negative")
+    check_eps(eps)
     return max_regret(game, sigma) <= eps
 
 
-def support_or_raise(sigma: MixedProfile, player: int) -> tuple[int, ...]:
-    support = sigma.support(player)
-    if not support:
-        raise EmptySupport(f"player {player} has an empty support")
-    return support
+def check_eps(eps: Scalar, name: str = "eps") -> None:
+    """Refuse a negative eps, and a NaN or infinite float one (no exact value)."""
+    if isinstance(eps, float) and not math.isfinite(eps):
+        raise ParameterOutOfRange(f"{name} {eps} is not finite")
+    if eps < 0:
+        raise NegativeEpsilon(f"{name} {eps} is negative")

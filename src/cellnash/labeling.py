@@ -36,7 +36,6 @@ from .game import (
     deviation_payoffs,
     deviation_sums,
     evaluate_payoff,
-    support_or_raise,
 )
 from . import scalars
 from .scalars import Scalar
@@ -58,7 +57,7 @@ def root_label(game: Game, sigma: MixedProfile) -> PureProfile:
     ]
     choices = []
     for i, (count, stride) in enumerate(zip(game.shape, game.strides)):
-        support = support_or_raise(sigma, i)
+        support = sigma.support(i)
         tensor, _ = scalars.as_integers(game.payoffs[i])
         others = supports[:i] + supports[i + 1 :]
         devs = deviation_sums(tensor, others, range(0, count * stride, stride))
@@ -131,8 +130,7 @@ def check_root_properties(game: Game, sigma: MixedProfile) -> bool:
     deviation gain is zero, and it puts no mass outside the support."""
     label = root_label(game, sigma)
     for i, s in enumerate(label.choices):
-        support = support_or_raise(sigma, i)
-        if s not in support:
+        if s not in sigma.support(i):
             return False
         base = evaluate_payoff(game, sigma, i)
         dev = deviation_payoffs(game, sigma, i)[s]

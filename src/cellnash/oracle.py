@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import scalars
-from .errors import NegativeEpsilon, ParameterOutOfRange
-from .game import Game, GainTable, MixedProfile, gain_table
+from .errors import ParameterOutOfRange
+from .game import Game, GainTable, MixedProfile, check_eps, gain_table
 from .linalg import solve_affine
 from .scalars import Scalar
 from .subdivision import player_triangulations
@@ -49,9 +49,8 @@ def verify_profile(
     game: Game, sigma: MixedProfile, eps: Scalar
 ) -> tuple[bool, GainTable]:
     """Recompute the gain table from scratch and test the regret bound."""
+    check_eps(eps)
     table = gain_table(game, sigma)
-    if eps < 0:
-        raise NegativeEpsilon(f"eps {eps} is negative")
     return max(table.best) <= eps, table
 
 

@@ -31,8 +31,8 @@ from functools import partial, reduce
 from typing import Optional, Sequence
 
 from . import scalars
-from .errors import NegativeEpsilon, NoPreEquilibriumFound, ParameterOutOfRange, ResolutionZero
-from .game import Game, GainTable, MixedProfile, PureProfile, gain_table
+from .errors import NoPreEquilibriumFound, ParameterOutOfRange, ResolutionZero
+from .game import Game, GainTable, MixedProfile, PureProfile, check_eps, gain_table
 from .labeling import grid_labels
 from .labeling import root_label  # noqa: F401  perfbench's tracer test reads search.root_label
 from .scalars import Scalar
@@ -216,8 +216,7 @@ def solve(
     Raises :class:`NoPreEquilibriumFound` only when every stage comes up
     empty — then there is no profile to report at all.
     """
-    if eps_target < 0:
-        raise NegativeEpsilon(f"eps target {eps_target} is negative")
+    check_eps(eps_target, "eps target")
     if m0 < 1:
         raise ResolutionZero(f"m0 {m0} must be >= 1")
     if refine_factor < 2:

@@ -21,7 +21,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, ParameterOutOfRange, ResolutionZero
 from .game import Game, MixedProfile
@@ -194,15 +194,6 @@ def vertex_profile_count(triangulations: Sequence[Triangulation]) -> int:
     return math.prod(len(tri.vertices) for tri in triangulations)
 
 
-def product_cells(
-    game: Game, resolutions: Sequence[int] | int
-) -> Iterator[ProductCell]:
-    """Yield every product cell in lexicographic factor order."""
-    tris = player_triangulations(game, resolutions)
-    for factor in itertools.product(*(range(len(t.cells)) for t in tris)):
-        yield build_product_cell(tris, factor)
-
-
 def cell_diameter(cell: ProductCell) -> float:
     """Largest Euclidean distance between two vertex profiles, over the
     concatenated strategy vectors.  Vertex profiles are all combinations
@@ -219,39 +210,3 @@ def cell_diameter(cell: ProductCell) -> float:
             default=0,
         )
     return math.sqrt(float(worst))
-
-
-def simplex_cell_volume(tri: Triangulation, cell_index: int) -> Fraction:
-    """Cell volume normalized so the whole simplex has volume one."""
-    from .linalg import determinant
-
-    cell = tri.cells[cell_index]
-    base = tri.vertices[cell[0]]
-    edges = [
-        [tri.vertices[v][c] - base[c] for c in range(1, tri.dim + 1)]
-        for v in cell[1:]
-    ]
-    det = determinant(edges)
-    return abs(Fraction(det))
-
-
-def locate_point(tri: Triangulation, point: Sequence[Scalar]) -> list[int]:
-    """Indices of cells containing the barycentric ``point``."""
-    from .linalg import solve_affine
-
-    hits = []
-    for idx, cell in enumerate(tri.cells):
-        matrix = [
-            [tri.vertices[v][c] for v in cell] for c in range(tri.dim + 1)
-        ]
-        matrix.append([1] * len(cell))
-        rhs = list(point) + [1]
-        solved = solve_affine(matrix, rhs)
-        if solved is None:
-            continue
-        weights, basis = solved
-        if basis:
-            continue  # degenerate cell; cannot happen for a real grid
-        if all(w >= 0 for w in weights):
-            hits.append(idx)
-    return hits

@@ -85,28 +85,11 @@ def _check_single_player(game: Game) -> None:
         )
 
 
-def _single_player_cell(game: Game, tri: Triangulation, cell_index: int):
-    _check_single_player(game)
-    if not 0 <= cell_index < len(tri.cells):
-        raise ParameterOutOfRange(f"cell index {cell_index} out of range")
-    cell = tri.cells[cell_index]
-    labels = [
-        root_label(game, MixedProfile((tri.vertices[v],))).choices[0] for v in cell
-    ]
-    return cell, labels
-
-
-def cell_volume_polynomial(
-    game: Game, tri: Triangulation, cell_index: int
-) -> Poly:
-    """Signed volume of the moved cell as an exact polynomial in ``t``,
-    oriented so the value at ``t = 0`` is positive."""
-    return _volume_polynomial(tri, *_single_player_cell(game, tri, cell_index))
-
-
 def _volume_polynomial(
     tri: Triangulation, cell: Sequence[int], labels: Sequence[int]
 ) -> Poly:
+    """Signed volume of the moved cell as an exact polynomial in ``t``,
+    oriented so the value at ``t = 0`` is positive."""
     # vertex r with label l_r moves to v_r + t*(e_{l_r} - v_r), so each
     # edge-matrix entry is linear in t
     vertices = [tri.vertices[v] for v in cell]
@@ -139,7 +122,12 @@ def moved_cell_volume(
     """Signed volume of one moved cell at parameter ``t``, computed from a
     numeric determinant rather than the polynomial form."""
     t = _parameter(t)
-    return _moved_volume(tri, *_single_player_cell(game, tri, cell_index), t)
+    _check_single_player(game)
+    if not 0 <= cell_index < len(tri.cells):
+        raise ParameterOutOfRange(f"cell index {cell_index} out of range")
+    cell = tri.cells[cell_index]
+    labels = [root_label(game, MixedProfile((tri.vertices[v],))).choices[0] for v in cell]
+    return _moved_volume(tri, cell, labels, t)
 
 
 def moved_volumes(game: Game, tri: Triangulation, t: Scalar) -> tuple[Scalar, ...]:

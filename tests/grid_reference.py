@@ -1,0 +1,76 @@
+"""Reference helpers for the grid and gain tests.
+
+The package's solver, command line and oracles do not need these, so
+they live with the tests: a point locator and a cell volume for checking
+the Kuhn grid's geometry, a generator of every product cell, and the
+deviation profile that the reference gain table evaluates directly.
+"""
+
+from __future__ import annotations
+
+import itertools
+from fractions import Fraction
+from typing import Iterator, Sequence
+
+from cellnash.errors import IndexOutOfRange
+from cellnash.game import Game, MixedProfile, check_profile
+from cellnash.linalg import determinant, solve_affine
+from cellnash.scalars import Scalar
+from cellnash.subdivision import (
+    ProductCell,
+    Triangulation,
+    build_product_cell,
+    player_triangulations,
+)
+
+
+def product_cells(game: Game, resolutions: Sequence[int] | int) -> Iterator[ProductCell]:
+    """Yield every product cell in lexicographic factor order."""
+    tris = player_triangulations(game, resolutions)
+    for factor in itertools.product(*(range(len(t.cells)) for t in tris)):
+        yield build_product_cell(tris, factor)
+
+
+def simplex_cell_volume(tri: Triangulation, cell_index: int) -> Fraction:
+    """Cell volume normalized so the whole simplex has volume one."""
+    cell = tri.cells[cell_index]
+    base = tri.vertices[cell[0]]
+    edges = [
+        [tri.vertices[v][c] - base[c] for c in range(1, tri.dim + 1)]
+        for v in cell[1:]
+    ]
+    return abs(Fraction(determinant(edges)))
+
+
+def locate_point(tri: Triangulation, point: Sequence[Scalar]) -> list[int]:
+    """Indices of cells containing the barycentric ``point``."""
+    hits = []
+    for idx, cell in enumerate(tri.cells):
+        matrix = [[tri.vertices[v][c] for v in cell] for c in range(tri.dim + 1)]
+        matrix.append([1] * len(cell))
+        solved = solve_affine(matrix, list(point) + [1])
+        if solved is None:
+            continue
+        weights, basis = solved
+        if basis:
+            continue  # degenerate cell; cannot happen for a real grid
+        if all(w >= 0 for w in weights):
+            hits.append(idx)
+    return hits
+
+
+def deviation_profile(
+    game: Game, sigma: MixedProfile, player: int, strategy: int
+) -> MixedProfile:
+    """Copy of ``sigma`` with ``player`` switched to the pure ``strategy``."""
+    check_profile(game, sigma)
+    if not 0 <= player < game.num_players:
+        raise IndexOutOfRange(f"player {player} out of range")
+    count = game.shape[player]
+    if not 0 <= strategy < count:
+        raise IndexOutOfRange(f"strategy {strategy} out of range for player {player}")
+    replaced = tuple(1 if t == strategy else 0 for t in range(count))
+    dists = tuple(
+        replaced if j == player else vector for j, vector in enumerate(sigma.dist)
+    )
+    return MixedProfile(dists)

@@ -11,7 +11,6 @@ from cellnash import (
     MixedProfile,
     PureProfile,
     deviation_payoffs,
-    deviation_profile,
     errors,
     evaluate_payoff,
     gain_table,
@@ -24,6 +23,7 @@ from cellnash import (
 )
 
 from conftest import as_float_game, label_corpus, random_game, random_profile
+from grid_reference import deviation_profile
 
 import random
 
@@ -71,15 +71,28 @@ def test_mixed_profile_rejects_negative():
 
 
 def test_mixed_profile_rejects_bad_sum():
-    with pytest.raises(errors.InvalidDistribution):
-        MixedProfile(((Fraction(1, 2), Fraction(1, 3)),))
+    # an all-zero or empty vector sums to 0, so every accepted vector has
+    # positive mass
+    for dist in (((Fraction(1, 2), Fraction(1, 3)),), ((0, 0),), ((),)):
+        with pytest.raises(errors.InvalidDistribution):
+            MixedProfile(dist)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+def test_mixed_profile_rejects_non_finite_probabilities(bad):
+    for vector in ((bad, 0), (0, bad), (0.5, bad, 0.5)):
+        with pytest.raises(errors.InvalidDistribution):
+            MixedProfile((vector,))
 
 
 def test_float_probabilities_are_read_exactly():
     # 0.1 + 0.9 is 1.0 in float arithmetic, but the exact values of the
-    # two floats sum to 1 + 2**-55; 0.25 and 0.75 are exact
-    with pytest.raises(errors.InvalidDistribution):
+    # two floats sum to 1 + 2**-55, and the error prints that sum; 0.25 and
+    # 0.75 are exact
+    with pytest.raises(errors.InvalidDistribution) as info:
         MixedProfile(((0.1, 0.9),))
+    exact_sum = 1 + Fraction(1, 2**55)
+    assert str(info.value) == f"probabilities sum to {exact_sum}, expected 1"
     constant = Game(strategy_names=(("a", "b"),), payoffs=((-1, -1),))
     sigma = MixedProfile(((0.25, 0.75),))
     assert gain_table(constant, sigma).total == 0
@@ -183,6 +196,13 @@ def test_is_equilibrium_rejects_negative_eps(mp):
     corner = PureProfile((0, 0)).as_mixed(mp)
     with pytest.raises(errors.NegativeEpsilon):
         is_equilibrium(mp, corner, -1)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_is_equilibrium_rejects_non_finite_eps(mp, bad):
+    corner = PureProfile((0, 0)).as_mixed(mp)
+    with pytest.raises(errors.ParameterOutOfRange, match="not finite"):
+        is_equilibrium(mp, corner, bad)
 
 
 def test_zero_game_everything_is_equilibrium():

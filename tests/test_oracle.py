@@ -9,10 +9,10 @@ from fractions import Fraction
 import pytest
 
 from cellnash import (
-    Game,
     MixedProfile,
     PureProfile,
     errors,
+    game as game_module,
     gain_table,
     grid_min_regret,
     oracle,
@@ -27,6 +27,7 @@ from conftest import (
     MATCHING_PENNIES,
     PRISONERS_DILEMMA,
     as_float_game,
+    count_calls,
     fixture_suite,
     make_game,
     random_game,
@@ -185,6 +186,22 @@ def test_verify_profile_examples(mp, pd):
     assert table.best[1] == 2
     ok, _ = verify_profile(mp, MixedProfile(UNIFORM_2X2), 0)
     assert ok
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (float("nan"), errors.ParameterOutOfRange),
+        (float("inf"), errors.ParameterOutOfRange),
+        (float("-inf"), errors.ParameterOutOfRange),
+        (-1, errors.NegativeEpsilon),
+    ],
+)
+def test_verify_profile_checks_eps_before_the_gain_table(mp, bad, error, monkeypatch):
+    tables = count_calls(monkeypatch, game_module, "gain_table")
+    with pytest.raises(error):
+        verify_profile(mp, MixedProfile(UNIFORM_2X2), bad)
+    assert tables == []
 
 
 def test_verify_zero_game_any_profile():

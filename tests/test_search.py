@@ -35,13 +35,12 @@ from cellnash.search import (
     default_budget,
     scan_cells,
 )
-from cellnash.subdivision import build_product_cell, product_cells
+from cellnash.subdivision import build_product_cell
 
 from conftest import (
     BATTLE_OF_SEXES,
     MATCHING_PENNIES,
     PRISONERS_DILEMMA,
-    ROCK_PAPER_SCISSORS,
     FIXTURE_SEED,
     as_float_game,
     count_calls,
@@ -50,6 +49,7 @@ from conftest import (
     payoff_range,
     random_game,
 )
+from grid_reference import product_cells
 
 UNIFORM_2X2 = MixedProfile(
     ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
@@ -436,6 +436,10 @@ def test_solve_validates_parameters(mp):
         solve(mp, Fraction(1, 10), refine_factor=1)
     with pytest.raises(errors.ParameterOutOfRange):
         solve(mp, Fraction(1, 10), max_stages=0)
+    # a NaN or infinite float target has no exact value for the report
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(errors.ParameterOutOfRange, match="eps target .* is not finite"):
+            solve(mp, bad)
 
 
 def test_solve_one_player_regret_halves_per_stage():

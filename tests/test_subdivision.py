@@ -8,25 +8,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellnash import (
-    Game,
     build_product_cell,
     cell_diameter,
     errors,
     find_pre_equilibria,
     grid_min_regret,
     player_triangulations,
-    product_cells,
     solve,
     subdivision,
     triangulate,
 )
-from cellnash.subdivision import (
-    locate_point,
-    simplex_cell_volume,
-    vertex_profile_count,
-)
+from cellnash.subdivision import vertex_profile_count
 
 from conftest import MATCHING_PENNIES, make_game
+from grid_reference import locate_point, product_cells, simplex_cell_volume
 
 
 def binomial(n, k):

@@ -6,7 +6,6 @@ import pytest
 
 from cellnash import (
     MixedProfile,
-    cell_volume_polynomial,
     errors,
     find_pre_equilibria,
     moved_cell_volume,
@@ -60,8 +59,8 @@ def test_same_label_segments_shrink_to_zero():
 def test_identity_motion_keeps_original_volume():
     game = make_game((3,), ((0, 1, 2),))
     tri = triangulate(2, 2)
-    for idx in range(len(tri.cells)):
-        poly = cell_volume_polynomial(game, tri, idx)
+    polys = total_volume_polynomial(game, tri).cell_polys
+    for idx, poly in enumerate(polys):
         assert poly_eval(poly, 0) == Fraction(1, 4)
         assert moved_cell_volume(game, tri, idx, 0) == Fraction(1, 4)
 
@@ -118,8 +117,9 @@ def test_polynomial_matches_independent_numeric_path():
         dim = game.shape[0] - 1
         tri = triangulate(dim, 4)
         samples = [Fraction(k, dim + 2) for k in range(dim + 3)]
-        for idx in range(len(tri.cells)):
-            poly = cell_volume_polynomial(game, tri, idx)
+        polys = total_volume_polynomial(game, tri).cell_polys
+        assert len(polys) == len(tri.cells)
+        for idx, poly in enumerate(polys):
             # a float t is read as the exact binary fraction it holds
             for t in samples + [0.1, 0.3, 0.7]:
                 assert poly_eval(poly, Fraction(t)) == moved_cell_volume(game, tri, idx, t)
@@ -147,9 +147,8 @@ def test_four_and_one_strategy_games(payoffs, m):
     tri = triangulate(len(payoffs) - 1, m)
     result = total_volume_polynomial(game, tri)
     assert result.total == (1,)
-    for idx in range(len(tri.cells)):
-        poly = cell_volume_polynomial(game, tri, idx)
-        assert poly == result.cell_polys[idx]
+    assert len(result.cell_polys) == len(tri.cells)
+    for idx, poly in enumerate(result.cell_polys):
         for t in (Fraction(1, 3), Fraction(1, 2), 0.7, 1):
             assert poly_eval(poly, Fraction(t)) == moved_cell_volume(game, tri, idx, t)
     certified = {cert.cell.factor[0] for cert in find_pre_equilibria(game, m)}
