@@ -16,6 +16,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -291,9 +292,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first run_cli call, never at import, then reused:
+    # parse_args keeps nothing in the parser between calls, and building
+    # the seven parsers costs over ten parses
+    return build_parser()
+
+
 def run_cli(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except CellNashError as exc:
         return _emit_error(exc)

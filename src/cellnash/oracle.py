@@ -137,14 +137,52 @@ def _mix_candidates(
     return [particular[:k]], True
 
 
+def _best_responses(
+    payoffs: list[list[int]], mixture: tuple[Scalar, ...]
+) -> tuple[int, int]:
+    """Bitmasks of the best replies to ``mixture`` and of its support.
+
+    ``payoffs[r][s]`` is the replying player's payoff for reply ``r``
+    against the mixing player's strategy ``s``; the sums run over integer
+    weights, a positive multiple of ``mixture``, so the argmax is exact.
+    """
+    weights, _ = scalars.as_integers(mixture)
+    support = [(s, w) for s, w in enumerate(weights) if w]
+    values = [sum(row[s] * w for s, w in support) for row in payoffs]
+    top = max(values)
+    best = sum(1 << r for r, v in enumerate(values) if v == top)
+    return best, sum(1 << s for s, _ in support)
+
+
+def _candidates(
+    raws: list[list[Scalar]],
+    support: tuple[int, ...],
+    count: int,
+    payoffs: list[list[int]],
+    seen: dict,
+) -> list[tuple[tuple[Scalar, ...], int, int]]:
+    # each valid mixture, embedded once, with the opponent's best replies
+    # and its own support; ``seen`` keeps them across support pairs
+    out = []
+    for raw in raws:
+        if any(v < 0 for v in raw):
+            continue
+        mixture = _embed(dict(zip(support, raw)), count)
+        if mixture not in seen:
+            seen[mixture] = _best_responses(payoffs, mixture)
+        out.append((mixture, *seen[mixture]))
+    return out
+
+
 def support_enumeration_2p(game: Game) -> SupportEnumerationResult:
     """Exact equilibria of a two-player game by support enumeration.
 
     For every support pair, solve the indifference systems for each
-    side's mixture, keep solutions that are valid distributions, and
-    check that no strategy outside the support does better.  Degenerate
-    games (singular systems with solution families) are flagged and
-    represented by the family endpoints.
+    side's mixture and keep solutions that are valid distributions.  A
+    pair (p, q) is an equilibrium exactly when each support lies inside
+    the set of best replies to the other mixture.  Degenerate games
+    (singular systems with solution families) are flagged and represented
+    by the family endpoints.
     """
     if game.num_players != 2:
         raise ParameterOutOfRange(
@@ -155,6 +193,8 @@ def support_enumeration_2p(game: Game) -> SupportEnumerationResult:
     u2t = [[u2[a][b] for a in range(rows)] for b in range(cols)]
     found: dict = {}
     degenerate = False
+    row_seen: dict = {}
+    col_seen: dict = {}
     row_supports = [
         combo
         for size in range(1, rows + 1)
@@ -170,54 +210,27 @@ def support_enumeration_2p(game: Game) -> SupportEnumerationResult:
             q_result = _mix_candidates(u1, own, other)
             if q_result is None:
                 continue
-            q_list, q_degen = q_result
+            q_raws, q_degen = q_result
+            qs = _candidates(q_raws, other, cols, u1, col_seen)
+            if not qs:
+                continue
             p_result = _mix_candidates(u2t, other, own)
             if p_result is None:
                 continue
-            p_list, p_degen = p_result
-            for q_raw in q_list:
-                if any(v < 0 for v in q_raw):
-                    continue
-                q = _embed(dict(zip(other, q_raw)), cols)
-                for p_raw in p_list:
-                    if any(v < 0 for v in p_raw):
+            p_raws, p_degen = p_result
+            ps = _candidates(p_raws, own, rows, u2t, row_seen)
+            for q, row_best, q_support in qs:
+                for p, col_best, p_support in ps:
+                    if p_support & ~row_best or q_support & ~col_best:
                         continue
-                    p = _embed(dict(zip(own, p_raw)), rows)
-                    if _is_exact_equilibrium(u1, u2, p, q):
-                        # a singular system only signals degeneracy once a
-                        # candidate from its family is a real equilibrium
-                        if q_degen or p_degen:
-                            degenerate = True
-                        key = (p, q)
-                        if key not in found:
-                            found[key] = MixedProfile((p, q))
+                    # a singular system only signals degeneracy once a
+                    # candidate from its family is a real equilibrium
+                    if q_degen or p_degen:
+                        degenerate = True
+                    key = (p, q)
+                    if key not in found:
+                        found[key] = MixedProfile((p, q))
     ordered = sorted(found)
     return SupportEnumerationResult(
         equilibria=tuple(found[k] for k in ordered), degenerate=degenerate
     )
-
-
-def _is_exact_equilibrium(
-    u1: list[list[int]],
-    u2: list[list[int]],
-    p: tuple[Scalar, ...],
-    q: tuple[Scalar, ...],
-) -> bool:
-    # direct best-response test on integers: with p == pn / pd and
-    # q == qn / qd, row_values are row 1's payoffs against q times qd and
-    # base1 is player 1's payoff times pd * qd (likewise for player 2)
-    pn, pd = scalars.as_integers(p)
-    qn, qd = scalars.as_integers(q)
-    q_support = [(b, k) for b, k in enumerate(qn) if k]
-    p_support = [(a, k) for a, k in enumerate(pn) if k]
-    row_values = [sum(row[b] * k for b, k in q_support) for row in u1]
-    base1 = sum(k * row_values[a] for a, k in p_support)
-    if any(v * pd > base1 for v in row_values):
-        return False
-    col_values = [
-        sum(u2[a][b] * k for a, k in p_support) for b in range(len(qn))
-    ]
-    base2 = sum(k * col_values[b] for b, k in q_support)
-    if any(v * qd > base2 for v in col_values):
-        return False
-    return True

@@ -1,5 +1,6 @@
 """End-to-end command-line checks driven through run_cli."""
 
+import functools
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ import time
 import pytest
 
 import cellnash
-from cellnash import labeling, serialize_game, subdivision
+from cellnash import cli, labeling, serialize_game, subdivision
 from cellnash.cli import EXIT_INPUT_ERROR, EXIT_NOT_MET, EXIT_OK, run_cli
 
 from conftest import BATTLE_OF_SEXES, count_calls, make_game
@@ -358,6 +359,79 @@ def test_help_prints_usage_and_exits_0(capsys):
         run_cli(["--help"])
     assert info.value.code == 0
     assert "usage: cellnash" in capsys.readouterr().out
+
+
+def _cold_parser(monkeypatch):
+    # a parser cache of the test's own, empty until the next run_cli call;
+    # without raising, the tests also run on a CLI that builds per call
+    monkeypatch.setattr(
+        cli, "_parser", functools.cache(cli.build_parser), raising=False
+    )
+
+
+def _outcome(capsys, argv, out_path):
+    try:
+        code = run_cli(list(argv))
+    except SystemExit as exc:
+        code = f"exit {exc.code}"
+    wrote = out_path.exists()
+    if wrote:
+        out_path.unlink()
+    return code, capsys.readouterr().out, wrote
+
+
+@pytest.mark.parametrize(
+    "sequence, codes",
+    [
+        pytest.param(
+            [["solve", MP], ["solve", MP, "--eps", "1/10"]],
+            [EXIT_INPUT_ERROR, EXIT_OK],
+            id="usage-error-then-solve",
+        ),
+        pytest.param(
+            [["solve", MP, "--eps", "1/10", "--out", "OUT"], ["solve", MP, "--eps", "1/10"]],
+            [EXIT_OK, EXIT_OK],
+            id="out-then-no-out",
+        ),
+        pytest.param(
+            [["solve", MP, "--eps", "1/10"], ["eval", MP, "--profile", "[[1, 0], [1, 0]]"]],
+            [EXIT_OK, EXIT_OK],
+            id="solve-then-eval",
+        ),
+        pytest.param([["--help"], ["--help"]], ["exit 0", "exit 0"], id="help-twice"),
+    ],
+)
+def test_reused_parser_leaks_nothing_between_calls(capsys, monkeypatch, tmp_path, sequence, codes):
+    # each call in a sequence on one parser prints what the same call
+    # prints on a fresh parser, and writes --out only when it is given
+    out_path = tmp_path / "report.json"
+    sequence = [[str(out_path) if a == "OUT" else a for a in argv] for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        _cold_parser(monkeypatch)
+        fresh.append(_outcome(capsys, argv, out_path))
+    _cold_parser(monkeypatch)
+    reused = [_outcome(capsys, argv, out_path) for argv in sequence]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == codes
+    assert [wrote for _, _, wrote in reused] == ["--out" in argv for argv in sequence]
+
+
+def test_second_run_builds_no_parser(capsys, monkeypatch):
+    built = []
+
+    class CountingParser(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_Parser", CountingParser)
+    _cold_parser(monkeypatch)
+    run(capsys, "solve", MP, "--eps", "1")
+    assert len(built) == 7  # the top-level parser and one per subcommand
+    built.clear()
+    run(capsys, "eval", MP, "--profile", "[[1, 0], [1, 0]]")
+    assert built == []
 
 
 @pytest.mark.parametrize(

@@ -32,6 +32,7 @@ from conftest import (
     make_game,
     random_game,
 )
+from support_reference import reference_support_enumeration
 
 UNIFORM_2X2 = (
     (Fraction(1, 2), Fraction(1, 2)),
@@ -176,6 +177,50 @@ def test_float_support_enumeration_matches_rational_on_fixtures():
         floated = support_enumeration_2p(as_float_game(game))
         assert [e.dist for e in floated.equilibria] == [e.dist for e in exact.equilibria], game.name
         assert floated.degenerate == exact.degenerate, game.name
+
+
+def _typed(result):
+    return [
+        [[(v, type(v)) for v in vec] for vec in e.dist] for e in result.equilibria
+    ]
+
+
+@pytest.mark.parametrize(
+    "shape, count, kind",
+    [
+        pytest.param((2, 2), 240, int, id="2x2"),
+        pytest.param((2, 3), 150, int, id="2x3"),
+        pytest.param((3, 3), 100, int, id="3x3"),
+        pytest.param((3, 4), 50, int, id="3x4"),
+        pytest.param((4, 4), 30, int, id="4x4"),
+        pytest.param((2, 3), 80, Fraction, id="2x3-fraction"),
+        pytest.param((3, 3), 50, float, id="3x3-float"),
+    ],
+)
+def test_support_enumeration_matches_pairwise_reference(shape, count, kind):
+    # best-reply sets per mixture decide exactly what the pairwise integer
+    # check decides: the same equilibria, order and value types, and the
+    # same degeneracy flag
+    rng = random.Random(7741 + 13 * shape[0] + shape[1])
+    size = shape[0] * shape[1]
+    degenerate = 0
+    for _ in range(count):
+        if kind is int:
+            payoffs = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(2)]
+        elif kind is Fraction:
+            payoffs = [
+                [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(size)]
+                for _ in range(2)
+            ]
+        else:
+            payoffs = [[rng.randint(-4, 4) / 4 for _ in range(size)] for _ in range(2)]
+        game = make_game(shape, tuple(map(tuple, payoffs)))
+        expected = reference_support_enumeration(game)
+        result = support_enumeration_2p(game)
+        assert _typed(result) == _typed(expected), payoffs
+        assert result.degenerate == expected.degenerate, payoffs
+        degenerate += expected.degenerate
+    assert degenerate > 0  # the draw reaches the singular systems too
 
 
 def test_verify_profile_examples(mp, pd):
