@@ -67,12 +67,7 @@ from .subdivision import (
     player_triangulations,
     triangulate,
 )
-from .volume import (
-    VolumePolynomial,
-    moved_cell_volume,
-    moved_volumes,
-    total_volume_polynomial,
-)
+from .volume import VolumePolynomial, moved_cell_volume, total_volume_polynomial
 
 __version__ = "0.1.0"
 
@@ -116,7 +111,6 @@ __all__ = [
     "load_report",
     "max_regret",
     "moved_cell_volume",
-    "moved_volumes",
     "parse_game",
     "parse_profile",
     "player_triangulations",

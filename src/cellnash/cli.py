@@ -36,7 +36,7 @@ from .labeling import root_label
 from .oracle import grid_min_regret, support_enumeration_2p, verify_profile
 from .search import representative, scan_cells, solve
 from .subdivision import cell_diameter, player_triangulations
-from .volume import moved_volumes, total_volume_polynomial
+from .volume import total_volume_polynomial
 
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
@@ -162,12 +162,11 @@ def _cmd_volume_check(args) -> int:
         idx in cert_cells for idx in result.nonzero_cells_at_one
     )
     if args.samples_out:
-        dim = tri.dim
-        samples = [scalars.exact_div(k, dim + 2) for k in range(dim + 3)]
+        samples = [scalars.exact_div(k, tri.dim + 2) for k in range(tri.dim + 3)]
         lines = ["t,g_total,cell_index,cell_value\n"]
         for t in samples:
             g_total = result.value_at(t)
-            for idx, value in enumerate(moved_volumes(game, tri, t)):
+            for idx, value in enumerate(result.cell_values_at(t)):
                 lines.append(
                     f"{scalars.format_scalar(t)},"
                     f"{scalars.format_scalar(g_total)},"

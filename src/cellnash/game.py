@@ -35,13 +35,18 @@ from .errors import (
 from .scalars import Scalar
 
 
+# bool is an int; a float must also be finite, which the classes check
+_NUMBER_TYPES = frozenset((int, bool, Fraction, float))
+
+
 @dataclass(frozen=True)
 class Game:
     """Dense payoff tensors over named strategies.
 
     ``payoffs[i]`` is player ``i``'s tensor flattened row-major with the
-    last player's strategy varying fastest.  A float payoff must be finite:
-    NaN and infinities have no exact value and are a :class:`ParseError`.
+    last player's strategy varying fastest.  A payoff is an ``int``
+    (``bool`` included), a ``Fraction`` or a finite float: anything else,
+    NaN and the infinities included, is a :class:`ParseError`.
     """
 
     strategy_names: tuple[tuple[str, ...], ...]
@@ -57,9 +62,7 @@ class Game:
             if len(set(names)) != len(names):
                 raise ShapeError(f"duplicate strategy names in {names}")
         shape = tuple(len(names) for names in self.strategy_names)
-        size = 1
-        for count in shape:
-            size *= count
+        size = math.prod(shape)
         if len(self.payoffs) != len(shape):
             raise ShapeError(
                 f"expected {len(shape)} payoff tensors, got {len(self.payoffs)}"
@@ -69,18 +72,18 @@ class Game:
                 raise ShapeError(
                     f"payoff tensor {i} has {len(tensor)} entries, expected {size}"
                 )
-        # only floats can be non-finite: an exact game costs one type scan
-        if float in set(map(type, itertools.chain(*self.payoffs))):
+        # an exact game costs one type scan; floats and strays a second
+        types = set(map(type, itertools.chain(*self.payoffs)))
+        if float in types or not types <= _NUMBER_TYPES:
             for v in itertools.chain(*self.payoffs):
+                if type(v) not in _NUMBER_TYPES:
+                    raise ParseError(f"payoff {v!r} is not a number")
                 if isinstance(v, float) and not math.isfinite(v):
                     raise ParseError(f"payoff {v} is not finite")
-        strides = []
-        acc = 1
-        for count in reversed(shape):
-            strides.append(acc)
-            acc *= count
+        # running products of the later players' strategy counts
+        strides = tuple(itertools.accumulate(shape[:0:-1], operator.mul, initial=1))
         object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "_strides", tuple(reversed(strides)))
+        object.__setattr__(self, "_strides", strides[::-1])
 
     @property
     def num_players(self) -> int:
@@ -131,17 +134,22 @@ class PureProfile:
 
 @dataclass(frozen=True)
 class MixedProfile:
-    """One probability vector per player; validated on construction."""
+    """One probability vector per player; validated on construction: an
+    entry that is not an int, Fraction or float is invalid, as in Game."""
 
     dist: tuple[tuple[Scalar, ...], ...]
 
     def __post_init__(self):
         for vector in self.dist:
+            types = set(map(type, vector))
+            if not types <= _NUMBER_TYPES:
+                bad = next(p for p in vector if type(p) not in _NUMBER_TYPES)
+                raise InvalidDistribution(f"probability {bad!r} is not a number")
             for p in vector:
                 if not p >= 0:  # also refuses NaN
                     raise InvalidDistribution(f"negative probability {p}")
-            try:
-                total = sum(scalars.exact(vector))  # an empty vector sums to 0
+            try:  # floats as the exact fractions they hold
+                total = sum(map(Fraction, vector) if float in types else vector)
             except OverflowError:  # only +inf gets here, and it has no exact value
                 raise InvalidDistribution("infinite probability") from None
             if total != 1:
@@ -229,6 +237,28 @@ def deviation_sums(
     return out
 
 
+def deviation_rows(game: Game, sigma: MixedProfile) -> list[tuple]:
+    """Per player ``(nums, den, scale, devs)``: weights ``nums[s] / den``,
+    the payoff tensor's common denominator ``scale``, and ``devs[s]``, the
+    deviation payoff to ``s`` times ``scale`` and every other player's
+    ``den``.  That factor is positive and shared, so argmins and ties are
+    exact."""
+    check_profile(game, sigma)
+    vectors = [scalars.as_integers(vector) for vector in sigma.dist]
+    supports = [
+        [(s * stride, k) for s, k in enumerate(nums) if k]
+        for (nums, _), stride in zip(vectors, game.strides)
+    ]
+    rows = []
+    players = zip(vectors, game.shape, game.strides)
+    for i, ((nums, den), count, stride) in enumerate(players):
+        tensor, scale = scalars.as_integers(game.payoffs[i])
+        offsets = range(0, count * stride, stride)
+        devs = deviation_sums(tensor, supports[:i] + supports[i + 1 :], offsets)
+        rows.append((nums, den, scale, devs))
+    return rows
+
+
 def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
     """Deviation gains at ``sigma``.
 
@@ -237,33 +267,23 @@ def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
     largest such gain, ``total`` their sum over players, and ``up[i]``
     says whether ``best[i]`` strictly exceeds ``total / (n + 1)``.
 
-    Sums run on integers: every strategy vector and payoff tensor over
-    its own common denominator, so a player's gains share one
-    denominator and only the reported values become Fractions.
+    Sums run on integers, in :func:`deviation_rows`: each strategy vector
+    and payoff tensor over its common denominator, so a player's gains
+    share one denominator and only the reported values become Fractions.
     """
-    check_profile(game, sigma)
     n = game.num_players
-    vectors = [scalars.as_integers(vector) for vector in sigma.dist]
-    den_all = math.prod([den for _, den in vectors])
-    supports = [
-        [(s * stride, k) for s, k in enumerate(nums) if k]
-        for (nums, _), stride in zip(vectors, game.strides)
-    ]
+    rows = deviation_rows(game, sigma)
+    _, dens, scales, _ = zip(*rows)
+    den_all = math.prod(dens)
     gains = []
     best = []
-    scales = []
-    for i, (count, stride_i) in enumerate(zip(game.shape, game.strides)):
-        tensor, scale = scalars.as_integers(game.payoffs[i])
-        offsets = range(0, count * stride_i, stride_i)
-        # devs[s] * own_den == deviation payoff to s, times den_i
-        devs = deviation_sums(tensor, supports[:i] + supports[i + 1 :], offsets)
-        nums, own_den = vectors[i]
-        # the expected payoff, times den_i: own-strategy average of devs
+    for nums, den, scale, devs in rows:
+        # devs[s] * den is the deviation payoff to s times scale * den_all,
+        # and own the expected payoff on that scale: devs' weighted average
         own = sum(map(operator.mul, nums, devs))
-        row = [max(own_den * d - own, 0) for d in devs]
+        row = [max(den * d - own, 0) for d in devs]
         gains.append(_ratios(row, scale * den_all))
         best.append(max(row))
-        scales.append(scale)
     # best[i] / (scales[i] * den_all), summed over the lcm of the scales
     lcm = math.lcm(*scales)
     lifted = [b * (lcm // scale) for b, scale in zip(best, scales)]

@@ -11,6 +11,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 from . import scalars
@@ -46,9 +47,7 @@ def parse_game(text: str) -> Game:
         raise ParseError(
             f"field 'payoffs' must be a list of {len(names)} tensors"
         )
-    size = 1
-    for group in names:
-        size *= len(group)
+    size = math.prod(map(len, names))
     tensors = []
     for i, tensor in enumerate(payoffs_raw):
         if not isinstance(tensor, list):
@@ -163,14 +162,10 @@ def report_json(
         },
     }
     if include_timing:
-        data["tool"] = {"name": "cellnash", "version": _package_version()}
+        from . import __version__  # here: the package imports this module
+
+        data["tool"] = {"name": "cellnash", "version": __version__}
     return data
-
-
-def _package_version() -> str:
-    from . import __version__
-
-    return __version__
 
 
 def load_report(text: str) -> dict:

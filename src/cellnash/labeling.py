@@ -32,8 +32,8 @@ from .game import (
     Game,
     MixedProfile,
     PureProfile,
-    check_profile,
     deviation_payoffs,
+    deviation_rows,
     deviation_sums,
     evaluate_payoff,
 )
@@ -46,22 +46,14 @@ def root_label(game: Game, sigma: MixedProfile) -> PureProfile:
     """Per player, the supported strategy with the smallest deviation
     payoff (lowest index on ties).
 
-    Deviation payoffs are summed on integers, as in :func:`grid_labels`:
-    each strategy vector over its common denominator and each payoff
-    tensor over its own, which keeps every argmin and tie exactly.
+    The deviation payoffs are :func:`~cellnash.game.deviation_rows`,
+    the integer rows :func:`~cellnash.game.gain_table` reads: each is a
+    positive multiple of the exact row, which keeps every argmin and tie.
     """
-    check_profile(game, sigma)
-    supports = [
-        [(s * stride, k) for s, k in enumerate(scalars.as_integers(vector)[0]) if k]
-        for vector, stride in zip(sigma.dist, game.strides)
+    choices = [
+        min(sigma.support(i), key=devs.__getitem__)  # first minimum wins
+        for i, (_, _, _, devs) in enumerate(deviation_rows(game, sigma))
     ]
-    choices = []
-    for i, (count, stride) in enumerate(zip(game.shape, game.strides)):
-        support = sigma.support(i)
-        tensor, _ = scalars.as_integers(game.payoffs[i])
-        others = supports[:i] + supports[i + 1 :]
-        devs = deviation_sums(tensor, others, range(0, count * stride, stride))
-        choices.append(min(support, key=devs.__getitem__))  # first minimum wins
     return PureProfile(tuple(choices))
 
 
@@ -114,27 +106,23 @@ def root_motion(game: Game, sigma: MixedProfile, t: Scalar) -> MixedProfile:
     ``t=1`` the fully moved profile."""
     if not 0 <= t <= 1:
         raise ParameterOutOfRange(f"t={t} outside [0, 1]")
-    label = root_label(game, sigma)
     t = scalars.exact([t])[0]
-    dists = []
-    for vector, target in zip(map(scalars.exact, sigma.dist), label.choices):
-        moved = tuple(
-            p + t * ((1 if s == target else 0) - p) for s, p in enumerate(vector)
+    targets = root_label(game, sigma).choices
+    return MixedProfile(
+        tuple(
+            tuple(p + t * ((s == target) - p) for s, p in enumerate(vector))
+            for vector, target in zip(map(scalars.exact, sigma.dist), targets)
         )
-        dists.append(moved)
-    return MixedProfile(tuple(dists))
+    )
 
 
 def check_root_properties(game: Game, sigma: MixedProfile) -> bool:
     """Re-derive the label laws from scratch: the label is supported, its
     deviation gain is zero, and it puts no mass outside the support."""
-    label = root_label(game, sigma)
-    for i, s in enumerate(label.choices):
+    for i, s in enumerate(root_label(game, sigma).choices):
         if s not in sigma.support(i):
             return False
-        base = evaluate_payoff(game, sigma, i)
-        dev = deviation_payoffs(game, sigma, i)[s]
-        gain = max(dev - base, 0)
-        if gain != 0:
+        # a positive gain: the deviation payoff beats the expected payoff
+        if deviation_payoffs(game, sigma, i)[s] > evaluate_payoff(game, sigma, i):
             return False
     return True

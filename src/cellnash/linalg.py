@@ -26,11 +26,7 @@ def determinant(matrix: Sequence[Sequence[Scalar]]) -> Scalar:
     sign = 1
     det: Scalar = 1
     for col in range(n):
-        pivot_row = None
-        for r in range(col, n):
-            if rows[r][col]:
-                pivot_row = r
-                break
+        pivot_row = next((r for r in range(col, n) if rows[r][col]), None)
         if pivot_row is None:
             return 0
         if pivot_row != col:

@@ -195,16 +195,10 @@ def support_enumeration_2p(game: Game) -> SupportEnumerationResult:
     degenerate = False
     row_seen: dict = {}
     col_seen: dict = {}
-    row_supports = [
-        combo
-        for size in range(1, rows + 1)
-        for combo in itertools.combinations(range(rows), size)
-    ]
-    col_supports = [
-        combo
-        for size in range(1, cols + 1)
-        for combo in itertools.combinations(range(cols), size)
-    ]
+    row_supports, col_supports = (
+        [c for size in range(1, k + 1) for c in itertools.combinations(range(k), size)]
+        for k in game.shape
+    )
     for own in row_supports:
         for other in col_supports:
             q_result = _mix_candidates(u1, own, other)

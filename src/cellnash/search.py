@@ -219,6 +219,8 @@ def solve(
     check_eps(eps_target, "eps target")
     if m0 < 1:
         raise ResolutionZero(f"m0 {m0} must be >= 1")
+    if not isinstance(refine_factor, int):
+        raise ParameterOutOfRange(f"refine factor {refine_factor!r} is not an integer")
     if refine_factor < 2:
         raise ParameterOutOfRange(f"refine factor {refine_factor} must be >= 2")
     if max_stages < 1:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -155,7 +156,8 @@ def player_triangulations(
 
     Every grid in the package is built here, once per distinct (strategy
     count, resolution) pair: players that share the pair share the
-    (frozen) :class:`Triangulation` object.  A grid whose vertex profile
+    (frozen) :class:`Triangulation` object.  A resolution that is not an
+    ``int`` is a :class:`ParameterOutOfRange`.  A grid whose vertex profile
     count or product cell count exceeds ``budget`` (``None`` means
     :func:`default_budget`; below 1 is :class:`ParameterOutOfRange`) is
     refused with :class:`BudgetExceeded` before any triangulation exists:
@@ -163,7 +165,7 @@ def player_triangulations(
     lattice vertices and ``m_i ** (k - 1)`` cells, and the profiles and
     product cells are their products.  ``needed`` is the larger count.
     """
-    if isinstance(resolutions, int):
+    if not isinstance(resolutions, Iterable):
         resolutions = (resolutions,) * game.num_players
     resolutions = tuple(resolutions)
     if len(resolutions) != game.num_players:
@@ -171,6 +173,8 @@ def player_triangulations(
             f"{len(resolutions)} resolutions for {game.num_players} players"
         )
     for m in resolutions:
+        if not isinstance(m, int):
+            raise ParameterOutOfRange(f"resolution {m!r} is not an integer")
         if m < 1:
             raise ResolutionZero(f"resolution {m} must be >= 1")
     if budget is None:

@@ -7,7 +7,9 @@ and because the motion keeps boundary faces inside themselves, the sum
 over all cells stays identically one.  At ``t = 1`` a cell's volume is
 nonzero exactly when its vertex labels are pairwise distinct — that is,
 when the cell is a certificate.  This module computes those polynomials
-exactly and checks the constancy claim coefficient by coefficient.
+exactly and checks the constancy claim coefficient by coefficient.  The
+numeric :func:`moved_cell_volume`, which moves a cell's vertices with
+:func:`~cellnash.labeling.root_motion`, is the independent check on them.
 
 Multi-player products are out of scope here; the search module covers
 them combinatorially.
@@ -17,12 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import zip_longest
 from typing import Sequence
 
 from .errors import NotSinglePlayer, ParameterOutOfRange
 from .game import Game, MixedProfile
-from .labeling import grid_labels, root_label
+from .labeling import grid_labels, root_motion
 from .linalg import determinant
 from . import scalars
 from .scalars import Scalar
@@ -48,6 +51,7 @@ def _poly_scale(a: Poly, factor: Fraction) -> Poly:
 
 
 def _poly_eval(a: Poly, t: Scalar) -> Scalar:
+    t = scalars.exact([t])[0]  # a float t as the exact fraction it holds
     result: Scalar = 0
     for c in reversed(a):
         result = result * t + c
@@ -110,51 +114,24 @@ def _volume_polynomial(
     return poly
 
 
-def _parameter(t: Scalar) -> Scalar:
-    if not 0 <= t <= 1:
-        raise ParameterOutOfRange(f"t={t} outside [0, 1]")
-    return scalars.exact([t])[0]
-
-
 def moved_cell_volume(
     game: Game, tri: Triangulation, cell_index: int, t: Scalar
 ) -> Scalar:
-    """Signed volume of one moved cell at parameter ``t``, computed from a
-    numeric determinant rather than the polynomial form."""
-    t = _parameter(t)
+    """Signed volume of one moved cell at parameter ``t``: each vertex
+    moved by :func:`~cellnash.labeling.root_motion`, then a numeric
+    determinant rather than the polynomial form."""
     _check_single_player(game)
     if not 0 <= cell_index < len(tri.cells):
         raise ParameterOutOfRange(f"cell index {cell_index} out of range")
-    cell = tri.cells[cell_index]
-    labels = [root_label(game, MixedProfile((tri.vertices[v],))).choices[0] for v in cell]
-    return _moved_volume(tri, cell, labels, t)
-
-
-def moved_volumes(game: Game, tri: Triangulation, t: Scalar) -> tuple[Scalar, ...]:
-    """:func:`moved_cell_volume` of every cell, from one labeling of the grid."""
-    t = _parameter(t)
-    _check_single_player(game)
-    labels = grid_labels(game, (tri,))
-    return tuple(
-        _moved_volume(tri, cell, [labels[v] for v in cell], t) for cell in tri.cells
-    )
+    vertices = [tri.vertices[v] for v in tri.cells[cell_index]]
+    moved = [root_motion(game, MixedProfile((v,)), t).dist[0] for v in vertices]
+    value = determinant(_edges(moved))
+    return -value if determinant(_edges(vertices)) < 0 else value
 
 
 def _edges(points: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:
     # each point minus the first, less coordinate 0, which the others fix
     return [[p - q for p, q in zip(point[1:], points[0][1:])] for point in points[1:]]
-
-
-def _moved_volume(
-    tri: Triangulation, cell: Sequence[int], labels: Sequence[int], t: Scalar
-) -> Scalar:
-    vertices = [tri.vertices[v] for v in cell]
-    moved = [
-        [p + t * ((c == label) - p) for c, p in enumerate(vertex)]
-        for vertex, label in zip(vertices, labels)
-    ]
-    value = determinant(_edges(moved))
-    return -value if determinant(_edges(vertices)) < 0 else value
 
 
 @dataclass(frozen=True)
@@ -172,6 +149,9 @@ class VolumePolynomial:
     def value_at(self, t: Scalar) -> Scalar:
         return _poly_eval(self.total, t)
 
+    def cell_values_at(self, t: Scalar) -> tuple[Scalar, ...]:
+        return tuple(_poly_eval(p, t) for p in self.cell_polys)
+
 
 def total_volume_polynomial(game: Game, tri: Triangulation) -> VolumePolynomial:
     """Per-cell polynomials, their sum, and the cells still spanning
@@ -182,12 +162,8 @@ def total_volume_polynomial(game: Game, tri: Triangulation) -> VolumePolynomial:
     polys = tuple(
         _volume_polynomial(tri, cell, [labels[v] for v in cell]) for cell in tri.cells
     )
-    total: Poly = (Fraction(0),)
-    for p in polys:
-        total = _poly_add(total, p)
-    nonzero = tuple(
-        idx for idx, p in enumerate(polys) if _poly_eval(p, 1) != 0
-    )
+    total = reduce(_poly_add, polys, (Fraction(0),))
+    nonzero = tuple(idx for idx, p in enumerate(polys) if _poly_eval(p, 1) != 0)
     return VolumePolynomial(
         cell_polys=polys, total=_poly_trim(total), nonzero_cells_at_one=nonzero
     )

@@ -138,9 +138,9 @@ def test_volume_check_builds_its_grid_once(capsys, monkeypatch, tmp_path):
     assert json.loads(out)["cells"] == 8
     assert len(triangulations) == 1
     assert root_labels == []
-    # whole-grid labelings: the volume polynomials, the certificate scan
-    # and one per sample point (dim + 3 = 4 of them)
-    assert len(grid_labelings) == 2 + 4
+    # whole-grid labelings: the volume polynomials and the certificate
+    # scan; the samples are read from the polynomials
+    assert len(grid_labelings) == 2
 
 
 def test_volume_check_refuses_grid_before_any_volume_work(capsys, monkeypatch):

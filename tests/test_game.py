@@ -1,6 +1,7 @@
 """Payoff evaluation, deviation gains, and the equilibrium predicate."""
 
 import itertools
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,19 @@ def test_game_validation_rejects_non_finite_payoffs(bad):
         Game(strategy_names=(("a",), ("a", "b")), payoffs=((0, 0), (1.5, bad)))
 
 
+@pytest.mark.parametrize(
+    "bad", ["x", None, Decimal("0.5"), 1j], ids=["str", "None", "Decimal", "complex"]
+)
+def test_game_validation_rejects_non_numbers(bad):
+    for payoffs in (((bad, 0),), ((0.5, bad),), ((1, Fraction(1, 3), bad),)):
+        names = (tuple("abc"[: len(payoffs[0])]),)
+        with pytest.raises(errors.ParseError) as info:
+            Game(strategy_names=names, payoffs=payoffs)
+        assert str(info.value) == f"payoff {bad!r} is not a number"
+    with pytest.raises(errors.ParseError, match="not a number"):
+        Game(strategy_names=(("a",), ("a", "b")), payoffs=((0, 0), (True, bad)))
+
+
 def test_game_validation_rejects_duplicate_names():
     with pytest.raises(errors.ShapeError):
         Game(strategy_names=(("a", "a"),), payoffs=((1, 2),))
@@ -83,6 +97,18 @@ def test_mixed_profile_rejects_non_finite_probabilities(bad):
     for vector in ((bad, 0), (0, bad), (0.5, bad, 0.5)):
         with pytest.raises(errors.InvalidDistribution):
             MixedProfile((vector,))
+
+
+@pytest.mark.parametrize(
+    "bad", ["1", None, Decimal("0.5"), 0.5j], ids=["str", "None", "Decimal", "complex"]
+)
+def test_mixed_profile_rejects_non_numbers(bad):
+    for vector in ((bad,), (bad, Decimal("0.5")), (Fraction(1, 2), bad)):
+        with pytest.raises(errors.InvalidDistribution) as info:
+            MixedProfile(((1,), vector))
+        assert str(info.value) == f"probability {bad!r} is not a number"
+    # bool, int, Fraction and float entries stay valid
+    assert MixedProfile(((True, 0), (Fraction(1, 2), 0.5))).support(1) == (0, 1)
 
 
 def test_float_probabilities_are_read_exactly():

@@ -1,6 +1,7 @@
 """Root labels and the straight-line motion toward them."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from cellnash import (
     MixedProfile,
     PureProfile,
     check_root_properties,
+    deviation_payoffs,
     errors,
     evaluate_payoff,
     gain_table,
@@ -55,6 +57,62 @@ def test_grid_labels_match_root_label_everywhere(payoffs):
             game.name,
             m,
         )
+
+
+def reference_root_label(game, sigma):
+    # per player, the first supported strategy whose Fraction-path
+    # deviation payoff is the smallest over the support
+    choices = []
+    for i, vector in enumerate(sigma.dist):
+        devs = deviation_payoffs(game, sigma, i)
+        support = [s for s, p in enumerate(vector) if p > 0]
+        low = min(devs[s] for s in support)
+        choices.append(next(s for s in support if devs[s] == low))
+    return tuple(choices)
+
+
+def mixed_denominator_profile(game, rng):
+    # entries over different denominators, ints where they are whole, and
+    # every third vector as the exact binary floats k/8
+    dist = []
+    for k in game.shape:
+        if rng.randrange(3) == 0:
+            cuts = sorted(rng.randint(0, 8) for _ in range(k - 1))
+            bounds = [0, *cuts, 8]
+            dist.append(tuple((b - a) / 8 for a, b in zip(bounds, bounds[1:])))
+            continue
+        weights = [Fraction(rng.randint(0, 4), rng.randint(1, 6)) for _ in range(k)]
+        if not any(weights):
+            weights[rng.randrange(k)] = Fraction(1)
+        total = sum(weights)
+        shares = [w / total for w in weights]
+        dist.append(tuple(int(w) if w.denominator == 1 else w for w in shares))
+    return MixedProfile(tuple(dist))
+
+
+def test_root_label_matches_fraction_reference():
+    for game, m in label_corpus():
+        tris = player_triangulations(game, m)
+        for combo in itertools.product(*(t.vertices for t in tris)):
+            sigma = MixedProfile(combo)
+            expected = reference_root_label(game, sigma)
+            assert root_label(game, sigma).choices == expected, (game.name, m, combo)
+    rng = random.Random(104729)
+    draws = {
+        "int": lambda: rng.randint(-2, 2),
+        "fraction": lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+        "float": lambda: rng.randint(-9, 9) / rng.choice((3, 5, 10)),
+    }
+    for shape in ((2, 2), (3, 3), (2, 3, 2), (4,), (2, 2, 2, 2)):
+        for kind, draw in draws.items():
+            payoffs = tuple(
+                tuple(draw() for _ in range(math.prod(shape))) for _ in shape
+            )
+            game = make_game(shape, payoffs, name=kind)
+            for _ in range(40):
+                sigma = mixed_denominator_profile(game, rng)
+                expected = reference_root_label(game, sigma)
+                assert root_label(game, sigma).choices == expected, (kind, sigma)
 
 
 def test_float_payoffs_are_read_exactly():

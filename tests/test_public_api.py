@@ -48,7 +48,6 @@ PUBLIC = [
     "load_report",
     "max_regret",
     "moved_cell_volume",
-    "moved_volumes",
     "parse_game",
     "parse_profile",
     "player_triangulations",

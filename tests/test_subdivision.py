@@ -288,6 +288,24 @@ def test_budget_bounds_the_cell_walk(monkeypatch):
         assert info.value.budget == 10_000_000
 
 
+def test_non_integer_resolution_rejected_before_any_grid(mp, monkeypatch):
+    def no_grid(dim, resolution):
+        raise AssertionError("triangulated a grid at a non-integer resolution")
+
+    monkeypatch.setattr(subdivision, "triangulate", no_grid)
+    calls = (
+        (lambda: solve(mp, 0, m0=2.5), "resolution 2.5 is not an integer"),
+        (lambda: solve(mp, 0, refine_factor=2.5), "refine factor 2.5 is not an integer"),
+        (lambda: find_pre_equilibria(mp, 2.0), "resolution 2.0 is not an integer"),
+        (lambda: grid_min_regret(mp, 4.0), "resolution 4.0 is not an integer"),
+        (lambda: player_triangulations(mp, (2, "3")), "resolution '3' is not an integer"),
+    )
+    for call, message in calls:
+        with pytest.raises(errors.ParameterOutOfRange) as info:
+            call()
+        assert str(info.value) == message
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_budget_below_one_rejected(mp, budget):
     calls = (

@@ -117,12 +117,16 @@ def test_polynomial_matches_independent_numeric_path():
         dim = game.shape[0] - 1
         tri = triangulate(dim, 4)
         samples = [Fraction(k, dim + 2) for k in range(dim + 3)]
-        polys = total_volume_polynomial(game, tri).cell_polys
+        result = total_volume_polynomial(game, tri)
+        polys = result.cell_polys
         assert len(polys) == len(tri.cells)
-        for idx, poly in enumerate(polys):
-            # a float t is read as the exact binary fraction it holds
-            for t in samples + [0.1, 0.3, 0.7]:
-                assert poly_eval(poly, Fraction(t)) == moved_cell_volume(game, tri, idx, t)
+        # a float t is read as the exact binary fraction it holds, by the
+        # numeric path and by the polynomials' own evaluation
+        for t in samples + [0.1, 0.3, 0.7]:
+            moved = [moved_cell_volume(game, tri, idx, t) for idx in range(len(polys))]
+            assert [poly_eval(poly, Fraction(t)) for poly in polys] == moved
+            assert list(result.cell_values_at(t)) == moved
+            assert not isinstance(result.value_at(t), float)
 
 
 def test_three_strategy_cancellation():
