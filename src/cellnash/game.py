@@ -313,14 +313,29 @@ def is_equilibrium(game: Game, sigma: MixedProfile, eps: Scalar) -> bool:
     """True when no player can gain more than ``eps`` by a pure deviation.
 
     Pure deviations suffice: a mixed deviation's payoff is an average of
-    pure ones, so its gain never beats the best pure gain.
+    pure ones, so its gain never beats the best pure gain.  The test runs
+    on :func:`deviation_rows`' integers, with ``eps`` read as the exact
+    ratio it holds (a float's binary value); no gain table is built, and
+    the comparisons stop at the first player that can gain more.
     """
     check_eps(eps)
-    return max_regret(game, sigma) <= eps
+    rows = deviation_rows(game, sigma)
+    den_all = math.prod(row[1] for row in rows)
+    num, den_eps = eps.as_integer_ratio()
+    # as in gain_table: den * max(devs) - own is the best gain times
+    # scale * den_all, so the bound is eps times that factor
+    return all(
+        den_eps * (den * max(devs) - sum(map(operator.mul, nums, devs)))
+        <= num * scale * den_all
+        for nums, den, scale, devs in rows
+    )
 
 
 def check_eps(eps: Scalar, name: str = "eps") -> None:
-    """Refuse a negative eps, and a NaN or infinite float one (no exact value)."""
+    """Refuse an eps that is not an int, Fraction or float, a NaN or
+    infinite float one (no exact value), and a negative one."""
+    if not isinstance(eps, (int, Fraction, float)):
+        raise ParameterOutOfRange(f"{name} {eps!r} is not an int, Fraction or float")
     if isinstance(eps, float) and not math.isfinite(eps):
         raise ParameterOutOfRange(f"{name} {eps} is not finite")
     if eps < 0:

@@ -3,6 +3,15 @@
 Nothing here reuses the labeling or search machinery — results come from
 direct payoff comparisons and small exact linear systems, so they can
 vouch for the solver's output rather than echo it.
+
+Support enumeration settles every support pair with a single strategy on
+either side by pure best replies, computed once per game; it solves
+indifference systems only for pairs with two strategies or more on both
+sides, and drops each side's candidates that would leave some strategy
+of the opponent's support short of a best reply before solving the other
+side.  Its ``degenerate`` flag is set when a singular system yields an
+equilibrium or a pure equilibrium has a tie among either player's best
+replies.
 """
 
 from __future__ import annotations
@@ -80,28 +89,14 @@ def _mix_candidates(
 ) -> tuple[list[list[Scalar]], bool] | None:
     """Mixtures over ``other`` equalizing ``payoff_rows`` across ``own``.
 
-    Unknowns are the mixture weights plus the common payoff value.  The
-    unique solution is returned when the system is regular; a singular but
-    consistent system yields the endpoints of its solution family inside
-    the probability box (or the particular solution for families of
-    dimension two and up) plus a degeneracy marker.  Returns None when
-    inconsistent.
+    Both supports have two strategies or more.  Unknowns are the mixture
+    weights plus the common payoff value.  The unique solution is returned
+    when the system is regular; a singular but consistent system yields
+    the endpoints of its solution family inside the probability box (or
+    the particular solution for families of dimension two and up) plus a
+    degeneracy marker.  Returns None when inconsistent.
     """
     k = len(other)
-    if len(own) == 1:
-        if k == 1:
-            return [[1]], False
-        # a single indifference row constrains nothing: the family is the
-        # whole simplex, represented by its vertices
-        return [
-            [1 if i == j else 0 for i in range(k)] for j in range(k)
-        ], True
-    if k == 1:
-        # weights are forced; consistent only when the rows tie
-        v0 = payoff_rows[own[0]][other[0]]
-        if any(payoff_rows[s][other[0]] != v0 for s in own[1:]):
-            return None
-        return [[1]], True
     matrix: list[list[Scalar]] = []
     rhs: list[Scalar] = []
     for s in own:
@@ -137,21 +132,14 @@ def _mix_candidates(
     return [particular[:k]], True
 
 
-def _best_responses(
-    payoffs: list[list[int]], mixture: tuple[Scalar, ...]
-) -> tuple[int, int]:
-    """Bitmasks of the best replies to ``mixture`` and of its support.
-
-    ``payoffs[r][s]`` is the replying player's payoff for reply ``r``
-    against the mixing player's strategy ``s``; the sums run over integer
-    weights, a positive multiple of ``mixture``, so the argmax is exact.
-    """
-    weights, _ = scalars.as_integers(mixture)
-    support = [(s, w) for s, w in enumerate(weights) if w]
-    values = [sum(row[s] * w for s, w in support) for row in payoffs]
+def _best_replies(values: Sequence[int]) -> int:
+    """Bitmask of the indices where ``values`` is largest."""
     top = max(values)
-    best = sum(1 << r for r, v in enumerate(values) if v == top)
-    return best, sum(1 << s for s, _ in support)
+    return sum(1 << r for r, v in enumerate(values) if v == top)
+
+
+def _mask(support: tuple[int, ...]) -> int:
+    return sum(1 << s for s in support)
 
 
 def _candidates(
@@ -159,30 +147,46 @@ def _candidates(
     support: tuple[int, ...],
     count: int,
     payoffs: list[list[int]],
-    seen: dict,
-) -> list[tuple[tuple[Scalar, ...], int, int]]:
-    # each valid mixture, embedded once, with the opponent's best replies
-    # and its own support; ``seen`` keeps them across support pairs
+    replies: int,
+) -> list[tuple[Scalar, ...]]:
+    """The valid mixtures among ``raws``, embedded, against which every
+    reply in the bitmask ``replies`` is a best reply.
+
+    ``payoffs[r][s]`` is the replying player's payoff for reply ``r``
+    against the mixing player's strategy ``s``; the sums run over integer
+    weights, a positive multiple of the mixture, so the argmax is exact.
+    """
     out = []
     for raw in raws:
         if any(v < 0 for v in raw):
             continue
         mixture = _embed(dict(zip(support, raw)), count)
-        if mixture not in seen:
-            seen[mixture] = _best_responses(payoffs, mixture)
-        out.append((mixture, *seen[mixture]))
+        weights, _ = scalars.as_integers(mixture)
+        terms = [(s, w) for s, w in enumerate(weights) if w]
+        best = _best_replies([sum(row[s] * w for s, w in terms) for row in payoffs])
+        if not replies & ~best:
+            out.append(mixture)
     return out
 
 
 def support_enumeration_2p(game: Game) -> SupportEnumerationResult:
     """Exact equilibria of a two-player game by support enumeration.
 
-    For every support pair, solve the indifference systems for each
-    side's mixture and keep solutions that are valid distributions.  A
-    pair (p, q) is an equilibrium exactly when each support lies inside
-    the set of best replies to the other mixture.  Degenerate games
-    (singular systems with solution families) are flagged and represented
-    by the family endpoints.
+    A support pair with a single strategy on either side can only yield
+    pure profiles, so those pairs reduce to pure best replies, computed
+    once: (a, b) is an equilibrium exactly when a is a best reply to b and
+    b to a.  For every pair of supports with two strategies or more on
+    both sides, solve the indifference systems for each side's mixture and
+    keep solutions that are valid distributions.  A mixture equalizes its
+    opponent's payoffs across the opponent's support, so it is kept only
+    when that whole support consists of best replies to it; the second
+    side is solved only when some candidate of the first side is kept, and
+    every pair of kept candidates is an equilibrium.
+
+    Degenerate games are flagged and represented by the family endpoints
+    of their singular systems: the flag is set when a singular system
+    yields an equilibrium, and when some pure equilibrium (a, b) has a
+    tie among a's best replies to b or among b's best replies to a.
     """
     if game.num_players != 2:
         raise ParameterOutOfRange(
@@ -191,39 +195,46 @@ def support_enumeration_2p(game: Game) -> SupportEnumerationResult:
     rows, cols = game.shape
     u1, u2 = _pure_payoff_matrices(game)
     u2t = [[u2[a][b] for a in range(rows)] for b in range(cols)]
+    # row_best[b] is player 1's best replies to b, col_best[a] player 2's to a
+    row_best = [_best_replies(column) for column in zip(*u1)]
+    col_best = [_best_replies(row) for row in u2]
     found: dict = {}
     degenerate = False
-    row_seen: dict = {}
-    col_seen: dict = {}
+    for a, b in itertools.product(range(rows), range(cols)):
+        if row_best[b] >> a & 1 and col_best[a] >> b & 1:
+            key = (_embed({a: 1}, rows), _embed({b: 1}, cols))
+            found[key] = MixedProfile(key)
+            # x & (x - 1) is nonzero when the mask x has two bits or more
+            if row_best[b] & (row_best[b] - 1) or col_best[a] & (col_best[a] - 1):
+                degenerate = True
     row_supports, col_supports = (
-        [c for size in range(1, k + 1) for c in itertools.combinations(range(k), size)]
+        [c for size in range(2, k + 1) for c in itertools.combinations(range(k), size)]
         for k in game.shape
     )
     for own in row_supports:
+        own_mask = _mask(own)
         for other in col_supports:
             q_result = _mix_candidates(u1, own, other)
             if q_result is None:
                 continue
             q_raws, q_degen = q_result
-            qs = _candidates(q_raws, other, cols, u1, col_seen)
+            qs = _candidates(q_raws, other, cols, u1, own_mask)
             if not qs:
                 continue
             p_result = _mix_candidates(u2t, other, own)
             if p_result is None:
                 continue
             p_raws, p_degen = p_result
-            ps = _candidates(p_raws, own, rows, u2t, row_seen)
-            for q, row_best, q_support in qs:
-                for p, col_best, p_support in ps:
-                    if p_support & ~row_best or q_support & ~col_best:
-                        continue
-                    # a singular system only signals degeneracy once a
-                    # candidate from its family is a real equilibrium
-                    if q_degen or p_degen:
-                        degenerate = True
+            ps = _candidates(p_raws, own, rows, u2t, _mask(other))
+            # a singular system only signals degeneracy once a candidate
+            # from its family is a real equilibrium
+            if ps and (q_degen or p_degen):
+                degenerate = True
+            for q in qs:
+                for p in ps:
                     key = (p, q)
                     if key not in found:
-                        found[key] = MixedProfile((p, q))
+                        found[key] = MixedProfile(key)
     ordered = sorted(found)
     return SupportEnumerationResult(
         equilibria=tuple(found[k] for k in ordered), degenerate=degenerate

@@ -217,12 +217,16 @@ def solve(
     empty — then there is no profile to report at all.
     """
     check_eps(eps_target, "eps target")
+    if not isinstance(m0, int):
+        raise ParameterOutOfRange(f"resolution {m0!r} is not an integer")
     if m0 < 1:
         raise ResolutionZero(f"m0 {m0} must be >= 1")
     if not isinstance(refine_factor, int):
         raise ParameterOutOfRange(f"refine factor {refine_factor!r} is not an integer")
     if refine_factor < 2:
         raise ParameterOutOfRange(f"refine factor {refine_factor} must be >= 2")
+    if not isinstance(max_stages, int):
+        raise ParameterOutOfRange(f"max stages {max_stages!r} is not an integer")
     if max_stages < 1:
         raise ParameterOutOfRange(f"max stages {max_stages} must be >= 1")
     if budget is None:

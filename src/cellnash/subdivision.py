@@ -159,8 +159,9 @@ def player_triangulations(
     (frozen) :class:`Triangulation` object.  A resolution that is not an
     ``int`` is a :class:`ParameterOutOfRange`.  A grid whose vertex profile
     count or product cell count exceeds ``budget`` (``None`` means
-    :func:`default_budget`; below 1 is :class:`ParameterOutOfRange`) is
-    refused with :class:`BudgetExceeded` before any triangulation exists:
+    :func:`default_budget`; a budget that is not an ``int``, or is below 1,
+    is :class:`ParameterOutOfRange`) is refused with
+    :class:`BudgetExceeded` before any triangulation exists:
     player ``i`` with ``k`` strategies has ``C(m_i + k - 1, k - 1)``
     lattice vertices and ``m_i ** (k - 1)`` cells, and the profiles and
     product cells are their products.  ``needed`` is the larger count.
@@ -179,6 +180,8 @@ def player_triangulations(
             raise ResolutionZero(f"resolution {m} must be >= 1")
     if budget is None:
         budget = default_budget()
+    elif not isinstance(budget, int):
+        raise ParameterOutOfRange(f"budget {budget!r} is not an integer")
     elif budget < 1:
         raise ParameterOutOfRange(f"budget {budget} must be >= 1")
     profiles = math.prod(

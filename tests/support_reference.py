@@ -1,12 +1,14 @@
 """Reference support enumeration for the oracle tests.
 
-``support_enumeration_2p`` decides each candidate pair by best-reply sets
-that it keeps per mixture.  This is the pairwise form it replaced: every
-(p, q) candidate pair is embedded afresh and checked by recomputing both
-players' integer payoff sums against the pair.  It shares the
-indifference systems (``_mix_candidates``) with the package, so a
-difference between the two is a difference in the equilibrium test, the
-embedding or the ``degenerate`` rule.
+``support_enumeration_2p`` settles the support pairs with a singleton
+side by pure best replies and prunes each side's candidates by the
+replies they must leave optimal.  This is the plain form it replaced,
+sharing no code with it but the linear solver: every support pair goes
+through the indifference systems (``_mix_candidates``, with its
+singleton branches), and every (p, q) candidate pair is embedded afresh
+and checked by recomputing both players' integer payoff sums against
+the pair.  A difference between the two is a difference in the pure
+pairs, the pruning, the embedding or the ``degenerate`` rule.
 """
 
 from __future__ import annotations
@@ -15,13 +17,86 @@ import itertools
 
 from cellnash import scalars
 from cellnash.game import Game, MixedProfile
-from cellnash.oracle import (
-    SupportEnumerationResult,
-    _embed,
-    _mix_candidates,
-    _pure_payoff_matrices,
-)
+from cellnash.linalg import solve_affine
+from cellnash.oracle import SupportEnumerationResult
 from cellnash.scalars import Scalar
+
+
+def _pure_payoff_matrices(game: Game) -> tuple[list[list[int]], list[list[int]]]:
+    # each player's payoffs scaled to integers: a positive scaling keeps
+    # every indifference system's solutions and every best response
+    rows, cols = game.shape
+    u1, u2 = (scalars.as_integers(tensor)[0] for tensor in game.payoffs)
+    return (
+        [[u1[a * cols + b] for b in range(cols)] for a in range(rows)],
+        [[u2[a * cols + b] for b in range(cols)] for a in range(rows)],
+    )
+
+
+def _embed(weights: dict[int, Scalar], count: int) -> tuple[Scalar, ...]:
+    return tuple(weights.get(s, 0) for s in range(count))
+
+
+def _mix_candidates(
+    payoff_rows: list[list[Scalar]], own: tuple[int, ...], other: tuple[int, ...]
+) -> tuple[list[list[Scalar]], bool] | None:
+    """Mixtures over ``other`` equalizing ``payoff_rows`` across ``own``.
+
+    Unknowns are the mixture weights plus the common payoff value.  The
+    unique solution is returned when the system is regular; a singular but
+    consistent system yields the endpoints of its solution family inside
+    the probability box (or the particular solution for families of
+    dimension two and up) plus a degeneracy marker.  Returns None when
+    inconsistent.
+    """
+    k = len(other)
+    if len(own) == 1:
+        if k == 1:
+            return [[1]], False
+        # a single indifference row constrains nothing: the family is the
+        # whole simplex, represented by its vertices
+        return [
+            [1 if i == j else 0 for i in range(k)] for j in range(k)
+        ], True
+    if k == 1:
+        # weights are forced; consistent only when the rows tie
+        v0 = payoff_rows[own[0]][other[0]]
+        if any(payoff_rows[s][other[0]] != v0 for s in own[1:]):
+            return None
+        return [[1]], True
+    matrix: list[list[Scalar]] = []
+    rhs: list[Scalar] = []
+    for s in own:
+        matrix.append([payoff_rows[s][b] for b in other] + [-1])
+        rhs.append(0)
+    matrix.append([1] * k + [0])
+    rhs.append(1)
+    solved = solve_affine(matrix, rhs)
+    if solved is None:
+        return None
+    particular, basis = solved
+    if not basis:
+        return [particular[:k]], False
+    if len(basis) == 1:
+        # one-parameter family: walk to both ends of the probability box
+        direction = basis[0][:k]
+        point = particular[:k]
+        lo, hi = None, None
+        for p, d in zip(point, direction):
+            if d == 0:
+                if p < 0:
+                    return None
+                continue
+            bound = -p / d
+            if d > 0:
+                lo = bound if lo is None else max(lo, bound)
+            else:
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None or hi is None or lo > hi:
+            return None
+        ends = {tuple(p + lam * d for p, d in zip(point, direction)) for lam in (lo, hi)}
+        return [list(end) for end in sorted(ends)], True
+    return [particular[:k]], True
 
 
 def reference_support_enumeration(game: Game) -> SupportEnumerationResult:

@@ -1,6 +1,7 @@
 """Payoff evaluation, deviation gains, and the equilibrium predicate."""
 
 import itertools
+import math
 from decimal import Decimal
 from fractions import Fraction
 
@@ -235,6 +236,63 @@ def test_zero_game_everything_is_equilibrium():
     g = Game(strategy_names=(("a", "b"), ("a", "b")), payoffs=((0,) * 4, (0,) * 4))
     sigma = MixedProfile(((Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 5), Fraction(4, 5))))
     assert is_equilibrium(g, sigma, 0)
+
+
+def _eps_around(regret):
+    """eps values at, below and above ``regret``, as ints, Fractions and
+    floats; a float next to the regret is read as the binary fraction it
+    holds, which may sit on either side of it."""
+    values = [0, regret, regret + 1, math.ceil(regret), float(regret), 0.1]
+    if regret > 0:
+        values += [
+            regret - Fraction(1, 10**30),
+            math.nextafter(float(regret), 0),
+            Fraction(math.floor(regret * 2**60), 2**60),
+        ]
+    return values
+
+
+@pytest.mark.parametrize("payoffs", ["rational", "float"])
+def test_is_equilibrium_matches_gain_table_on_label_corpus(payoffs):
+    # every vertex profile of the corpus (int and Fraction payoffs, or
+    # their float values), each against eps exactly at its regret, just
+    # below it and on both sides as floats
+    checked = 0
+    for game, m in label_corpus():
+        if payoffs == "float":
+            game = as_float_game(game)
+        tris = player_triangulations(game, m)
+        for combo in itertools.product(*(t.vertices for t in tris)):
+            sigma = MixedProfile(combo)
+            regret = max(gain_table(game, sigma).best)
+            for eps in _eps_around(regret):
+                assert is_equilibrium(game, sigma, eps) == (regret <= eps), (
+                    game.name,
+                    sigma,
+                    eps,
+                )
+                checked += 1
+    assert checked > 60000
+
+
+@pytest.mark.parametrize(
+    "gain, eps, expected",
+    [
+        # 0.1 holds 3602879701896397 / 2**55, a little above 1/10
+        pytest.param(Fraction(1, 10), 0.1, True, id="1/10-vs-0.1"),
+        # 0.3 holds a little below 3/10
+        pytest.param(Fraction(3, 10), 0.3, False, id="3/10-vs-0.3"),
+        # a float payoff 0.1 gains its binary value, above the Fraction 1/10
+        pytest.param(0.1, Fraction(1, 10), False, id="0.1-vs-1/10"),
+        pytest.param(0.1, 0.1, True, id="0.1-vs-0.1"),
+    ],
+)
+def test_is_equilibrium_reads_float_eps_exactly(gain, eps, expected):
+    # one player, on the strategy that pays 0; the other pays ``gain``
+    game = Game(strategy_names=(("a", "b"),), payoffs=((0, gain),))
+    sigma = MixedProfile(((1, 0),))
+    assert is_equilibrium(game, sigma, eps) is expected
+    assert (max_regret(game, sigma) <= eps) is expected
 
 
 @st.composite

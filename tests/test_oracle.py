@@ -185,42 +185,82 @@ def _typed(result):
     ]
 
 
+def _payoff_draws(shape, count, kind):
+    size = shape[0] * shape[1]
+    if kind == "all":
+        # every game with payoffs in {-1, 0, 1}
+        tensors = list(itertools.product((-1, 0, 1), repeat=size))
+        yield from itertools.product(tensors, repeat=2)
+        return
+    rng = random.Random(7741 + 13 * shape[0] + shape[1])
+    for _ in range(count):
+        if kind is int:
+            yield [[rng.randint(-2, 2) for _ in range(size)] for _ in range(2)]
+        elif kind is Fraction:
+            yield [
+                [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(size)]
+                for _ in range(2)
+            ]
+        else:
+            yield [[rng.randint(-4, 4) / 4 for _ in range(size)] for _ in range(2)]
+
+
 @pytest.mark.parametrize(
     "shape, count, kind",
     [
         pytest.param((2, 2), 240, int, id="2x2"),
+        pytest.param((2, 2), None, "all", id="2x2-all"),
         pytest.param((2, 3), 150, int, id="2x3"),
         pytest.param((3, 3), 100, int, id="3x3"),
         pytest.param((3, 4), 50, int, id="3x4"),
         pytest.param((4, 4), 30, int, id="4x4"),
+        pytest.param((1, 1), 20, int, id="1x1"),
+        pytest.param((1, 3), 60, int, id="1x3"),
+        pytest.param((3, 1), 60, int, id="3x1"),
+        pytest.param((2, 5), 60, int, id="2x5"),
         pytest.param((2, 3), 80, Fraction, id="2x3-fraction"),
         pytest.param((3, 3), 50, float, id="3x3-float"),
     ],
 )
 def test_support_enumeration_matches_pairwise_reference(shape, count, kind):
-    # best-reply sets per mixture decide exactly what the pairwise integer
-    # check decides: the same equilibria, order and value types, and the
-    # same degeneracy flag
-    rng = random.Random(7741 + 13 * shape[0] + shape[1])
-    size = shape[0] * shape[1]
+    # pure best replies for the singleton-side pairs and pruned candidates
+    # for the rest decide exactly what the plain enumeration over every
+    # support pair decides: the same equilibria, order and value types,
+    # and the same degeneracy flag
     degenerate = 0
-    for _ in range(count):
-        if kind is int:
-            payoffs = [[rng.randint(-2, 2) for _ in range(size)] for _ in range(2)]
-        elif kind is Fraction:
-            payoffs = [
-                [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(size)]
-                for _ in range(2)
-            ]
-        else:
-            payoffs = [[rng.randint(-4, 4) / 4 for _ in range(size)] for _ in range(2)]
+    for payoffs in _payoff_draws(shape, count, kind):
         game = make_game(shape, tuple(map(tuple, payoffs)))
         expected = reference_support_enumeration(game)
         result = support_enumeration_2p(game)
         assert _typed(result) == _typed(expected), payoffs
         assert result.degenerate == expected.degenerate, payoffs
         degenerate += expected.degenerate
-    assert degenerate > 0  # the draw reaches the singular systems too
+    if shape != (1, 1):  # a 1x1 game has no tie to flag
+        assert degenerate > 0  # the draw reaches the singular systems too
+
+
+@pytest.mark.parametrize(
+    "u1, u2, degenerate",
+    [
+        # player 2 plays column 0 strictly; player 1 ties against it
+        pytest.param((0, 1, 0, 0), (1, 0, 1, 0), True, id="row-tie"),
+        # player 1 plays row 0 strictly; player 2 ties against it
+        pytest.param((1, 1, 0, 0), (0, 0, 1, 0), True, id="column-tie"),
+        # a prisoner's dilemma: its one equilibrium is strict
+        pytest.param((2, 0, 3, 1), (2, 3, 0, 1), False, id="strict"),
+    ],
+)
+def test_pure_equilibrium_ties_flag_degenerate(u1, u2, degenerate):
+    # no mixed support pair of these games has a solution, so the flag
+    # comes from the pure equilibria alone: a tie among either player's
+    # best replies at one of them sets it
+    game = make_game((2, 2), (u1, u2))
+    result = support_enumeration_2p(game)
+    assert result.degenerate is degenerate
+    assert result.equilibria
+    for e in result.equilibria:
+        assert all(set(vector) == {0, 1} for vector in e.dist)
+        assert is_equilibrium(game, e, 0)
 
 
 def test_verify_profile_examples(mp, pd):
@@ -247,6 +287,21 @@ def test_verify_profile_checks_eps_before_the_gain_table(mp, bad, error, monkeyp
     with pytest.raises(error):
         verify_profile(mp, MixedProfile(UNIFORM_2X2), bad)
     assert tables == []
+
+
+@pytest.mark.parametrize("bad", ["0", None, 1j], ids=["str", "None", "complex"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g, eps: solve(g, eps),
+        lambda g, eps: is_equilibrium(g, MixedProfile(UNIFORM_2X2), eps),
+        lambda g, eps: verify_profile(g, MixedProfile(UNIFORM_2X2), eps),
+    ],
+    ids=["solve", "is_equilibrium", "verify_profile"],
+)
+def test_eps_that_is_not_a_number_is_refused(mp, call, bad):
+    with pytest.raises(errors.ParameterOutOfRange, match="is not an int, Fraction or float"):
+        call(mp, bad)
 
 
 def test_verify_zero_game_any_profile():

@@ -442,6 +442,20 @@ def test_solve_validates_parameters(mp):
             solve(mp, bad)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        pytest.param({"max_stages": 2.5}, "max stages 2.5 is not an integer", id="max_stages"),
+        pytest.param({"m0": "2"}, "resolution '2' is not an integer", id="m0"),
+        pytest.param({"budget": "x"}, "budget 'x' is not an integer", id="budget"),
+    ],
+)
+def test_solve_rejects_non_integer_parameters(mp, kwargs, message):
+    with pytest.raises(errors.ParameterOutOfRange) as info:
+        solve(mp, Fraction(1, 10), **kwargs)
+    assert str(info.value) == message
+
+
 def test_solve_one_player_regret_halves_per_stage():
     game = make_game((2,), ((0, 1),))
     report = solve(game, 0, m0=2, max_stages=4)
