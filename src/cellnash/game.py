@@ -44,7 +44,8 @@ class Game:
     """Dense payoff tensors over named strategies.
 
     ``payoffs[i]`` is player ``i``'s tensor flattened row-major with the
-    last player's strategy varying fastest.  A payoff is an ``int``
+    last player's strategy varying fastest; ``payoffs`` and each tensor
+    must be tuples, else :class:`ShapeError`.  A payoff is an ``int``
     (``bool`` included), a ``Fraction`` or a finite float: anything else,
     NaN and the infinities included, is a :class:`ParseError`.
     """
@@ -68,10 +69,17 @@ class Game:
                 f"expected {len(shape)} payoff tensors, got {len(self.payoffs)}"
             )
         for i, tensor in enumerate(self.payoffs):
+            # a list would leave the frozen game unhashable
+            if type(tensor) is not tuple:
+                raise ShapeError(
+                    f"payoff tensor {i} is a {type(tensor).__name__}, not a tuple"
+                )
             if len(tensor) != size:
                 raise ShapeError(
                     f"payoff tensor {i} has {len(tensor)} entries, expected {size}"
                 )
+        if type(self.payoffs) is not tuple:
+            raise ShapeError(f"payoffs is a {type(self.payoffs).__name__}, not a tuple")
         # an exact game costs one type scan; floats and strays a second
         types = set(map(type, itertools.chain(*self.payoffs)))
         if float in types or not types <= _NUMBER_TYPES:
@@ -141,7 +149,12 @@ class MixedProfile:
 
     def __post_init__(self):
         for vector in self.dist:
-            types = set(map(type, vector))
+            try:
+                types = set(map(type, vector))
+            except TypeError:
+                raise InvalidDistribution(
+                    f"strategy vector {vector!r} is not a sequence"
+                ) from None
             if not types <= _NUMBER_TYPES:
                 bad = next(p for p in vector if type(p) not in _NUMBER_TYPES)
                 raise InvalidDistribution(f"probability {bad!r} is not a number")
@@ -182,13 +195,17 @@ def check_profile(game: Game, sigma: MixedProfile) -> None:
             )
 
 
+def _check_player(game: Game, player: int) -> None:
+    if type(player) is not int or not 0 <= player < game.num_players:
+        raise IndexOutOfRange(f"player {player!r} out of range")
+
+
 def evaluate_payoff(game: Game, sigma: MixedProfile, player: int) -> Scalar:
     """Expected payoff: the payoff tensor contracted with every player's
     strategy vector.  Zero-probability strategies are skipped, which is
     exact and makes pure profiles cheap."""
     check_profile(game, sigma)
-    if not 0 <= player < game.num_players:
-        raise IndexOutOfRange(f"player {player} out of range")
+    _check_player(game, player)
     supports = [
         [(s * stride, p) for s, p in enumerate(scalars.exact(vector)) if p]
         for vector, stride in zip(sigma.dist, game.strides)
@@ -200,8 +217,7 @@ def deviation_payoffs(game: Game, sigma: MixedProfile, player: int) -> tuple[Sca
     """Expected payoff to ``player`` after switching to each pure strategy,
     computed in one pass over the other players' supports."""
     check_profile(game, sigma)
-    if not 0 <= player < game.num_players:
-        raise IndexOutOfRange(f"player {player} out of range")
+    _check_player(game, player)
     others = [
         [(s * stride, p) for s, p in enumerate(scalars.exact(vector)) if p]
         for j, (vector, stride) in enumerate(zip(sigma.dist, game.strides))

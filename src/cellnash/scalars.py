@@ -39,11 +39,34 @@ def parse_scalar(value) -> Scalar:
     """Turn JSON-level input into an exact Scalar.
 
     Accepts integers, Fractions, and strings in ``p/q`` or decimal form.
+    The canonical strings :func:`format_scalar` writes (``"-3"``,
+    ``"3/4"``) are decoded with ``int()`` directly; every other spelling
+    goes through ``Fraction``'s parser, with the same limits and errors.
     Floats are refused rather than guessed at.  A string whose reduced
     numerator or denominator has more digits than the digit limit is
     refused; one whose exponent alone rules it out is refused before it
     is built, so ``"1e30000000"`` costs nothing.
     """
+    if isinstance(value, str):
+        # the forms format_scalar writes, -?[0-9]+ and -?[0-9]+/[0-9]+,
+        # skip Fraction's regex; any other spelling, a zero denominator
+        # and a part int() refuses past the digit limit take the full
+        # parser, which words every error
+        num, slash, den = value.partition("/")
+        if (
+            value.isascii()
+            and (num[1:] if num[:1] == "-" else num).isdigit()
+            and (den.isdigit() or not slash)
+        ):
+            try:
+                if not slash:
+                    return int(num)
+                q = int(den)
+                if q:
+                    return _canonical(Fraction(int(num), q))
+            except ValueError:
+                pass
+        return _canonical(_parse_string(value))
     if isinstance(value, bool):
         raise ParseError(f"expected a number, got {value!r}")
     if isinstance(value, int):
@@ -54,8 +77,6 @@ def parse_scalar(value) -> Scalar:
         )
     if isinstance(value, Fraction):
         return _canonical(value)
-    if isinstance(value, str):
-        return _canonical(_parse_string(value))
     raise ParseError(f"cannot parse scalar of type {type(value).__name__}")
 
 

@@ -41,6 +41,7 @@ from .subdivision import (
     Triangulation,
     build_product_cell,
     cell_diameter,
+    check_int,
     default_budget,
     player_triangulations,
 )
@@ -217,16 +218,13 @@ def solve(
     empty — then there is no profile to report at all.
     """
     check_eps(eps_target, "eps target")
-    if not isinstance(m0, int):
-        raise ParameterOutOfRange(f"resolution {m0!r} is not an integer")
+    check_int(m0, "resolution")
     if m0 < 1:
         raise ResolutionZero(f"m0 {m0} must be >= 1")
-    if not isinstance(refine_factor, int):
-        raise ParameterOutOfRange(f"refine factor {refine_factor!r} is not an integer")
+    check_int(refine_factor, "refine factor")
     if refine_factor < 2:
         raise ParameterOutOfRange(f"refine factor {refine_factor} must be >= 2")
-    if not isinstance(max_stages, int):
-        raise ParameterOutOfRange(f"max stages {max_stages!r} is not an integer")
+    check_int(max_stages, "max stages")
     if max_stages < 1:
         raise ParameterOutOfRange(f"max stages {max_stages} must be >= 1")
     if budget is None:

@@ -46,6 +46,13 @@ def default_budget() -> int:
     return value
 
 
+def check_int(value, name: str) -> None:
+    """Refuse a ``value`` that is not an ``int`` as
+    :class:`ParameterOutOfRange`; a ``bool`` is refused too."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ParameterOutOfRange(f"{name} {value!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """All cells of one player's simplex grid.
@@ -82,7 +89,12 @@ def _coordinate(k: int, m: int) -> Scalar:
 
 
 def triangulate(dim: int, resolution: int) -> Triangulation:
-    """Build the grid for a ``dim``-dimensional strategy simplex."""
+    """Build the grid for a ``dim``-dimensional strategy simplex.
+
+    ``dim`` or ``resolution`` other than an ``int`` (a ``bool`` too) is a
+    :class:`ParameterOutOfRange`."""
+    check_int(dim, "dimension")
+    check_int(resolution, "resolution")
     if dim < 0:
         raise ResolutionZero(f"dimension {dim} is negative")
     if resolution < 1:
@@ -157,10 +169,10 @@ def player_triangulations(
     Every grid in the package is built here, once per distinct (strategy
     count, resolution) pair: players that share the pair share the
     (frozen) :class:`Triangulation` object.  A resolution that is not an
-    ``int`` is a :class:`ParameterOutOfRange`.  A grid whose vertex profile
-    count or product cell count exceeds ``budget`` (``None`` means
-    :func:`default_budget`; a budget that is not an ``int``, or is below 1,
-    is :class:`ParameterOutOfRange`) is refused with
+    ``int``, ``bool`` included, is a :class:`ParameterOutOfRange`.  A grid
+    whose vertex profile count or product cell count exceeds ``budget``
+    (``None`` means :func:`default_budget`; a budget that is not an
+    ``int``, or is below 1, is :class:`ParameterOutOfRange`) is refused with
     :class:`BudgetExceeded` before any triangulation exists:
     player ``i`` with ``k`` strategies has ``C(m_i + k - 1, k - 1)``
     lattice vertices and ``m_i ** (k - 1)`` cells, and the profiles and
@@ -174,16 +186,15 @@ def player_triangulations(
             f"{len(resolutions)} resolutions for {game.num_players} players"
         )
     for m in resolutions:
-        if not isinstance(m, int):
-            raise ParameterOutOfRange(f"resolution {m!r} is not an integer")
+        check_int(m, "resolution")
         if m < 1:
             raise ResolutionZero(f"resolution {m} must be >= 1")
     if budget is None:
         budget = default_budget()
-    elif not isinstance(budget, int):
-        raise ParameterOutOfRange(f"budget {budget!r} is not an integer")
-    elif budget < 1:
-        raise ParameterOutOfRange(f"budget {budget} must be >= 1")
+    else:
+        check_int(budget, "budget")
+        if budget < 1:
+            raise ParameterOutOfRange(f"budget {budget} must be >= 1")
     profiles = math.prod(
         math.comb(m + count - 1, count - 1)
         for count, m in zip(game.shape, resolutions)

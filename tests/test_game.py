@@ -60,6 +60,20 @@ def test_game_validation_rejects_non_numbers(bad):
         Game(strategy_names=(("a",), ("a", "b")), payoffs=((0, 0), (True, bad)))
 
 
+def test_game_validation_rejects_list_tensors():
+    # a list tensor would make the frozen game unhashable
+    one, two = (("a", "b"),), (("a",), ("a", "b"))
+    for names, payoffs, message in (
+        (one, [[1, 2]], "payoff tensor 0 is a list, not a tuple"),
+        (two, ((1, 2), [3, 4]), "payoff tensor 1 is a list, not a tuple"),
+        (two, [(1, 2), (3, 4)], "payoffs is a list, not a tuple"),
+    ):
+        with pytest.raises(errors.ShapeError) as info:
+            Game(strategy_names=names, payoffs=payoffs)
+        assert str(info.value) == message
+    hash(Game(strategy_names=(("a", "b"),), payoffs=((1, 2),)))
+
+
 def test_game_validation_rejects_duplicate_names():
     with pytest.raises(errors.ShapeError):
         Game(strategy_names=(("a", "a"),), payoffs=((1, 2),))
@@ -83,6 +97,21 @@ def test_payoff_index_out_of_range(mp):
 def test_mixed_profile_rejects_negative():
     with pytest.raises(errors.InvalidDistribution):
         MixedProfile(((Fraction(3, 2), Fraction(-1, 2)),))
+
+
+def test_mixed_profile_rejects_a_vector_that_is_not_a_sequence():
+    for dist in ((1,), ((1, 0), None)):
+        with pytest.raises(errors.InvalidDistribution, match="is not a sequence"):
+            MixedProfile(dist)
+
+
+def test_player_index_must_be_an_int_in_range(mp):
+    sigma = MixedProfile(((1, 0), (0, 1)))
+    for player in ("0", 0.0, True, 2, -1):
+        for call in (evaluate_payoff, deviation_payoffs):
+            with pytest.raises(errors.IndexOutOfRange) as info:
+                call(mp, sigma, player)
+            assert str(info.value) == f"player {player!r} out of range"
 
 
 def test_mixed_profile_rejects_bad_sum():

@@ -448,6 +448,13 @@ def test_solve_validates_parameters(mp):
         pytest.param({"max_stages": 2.5}, "max stages 2.5 is not an integer", id="max_stages"),
         pytest.param({"m0": "2"}, "resolution '2' is not an integer", id="m0"),
         pytest.param({"budget": "x"}, "budget 'x' is not an integer", id="budget"),
+        # bool is an int to Python, not a resolution or a count
+        pytest.param({"m0": True}, "resolution True is not an integer", id="m0-bool"),
+        pytest.param(
+            {"refine_factor": True}, "refine factor True is not an integer", id="refine-bool"
+        ),
+        pytest.param({"max_stages": True}, "max stages True is not an integer", id="stages-bool"),
+        pytest.param({"budget": True}, "budget True is not an integer", id="budget-bool"),
     ],
 )
 def test_solve_rejects_non_integer_parameters(mp, kwargs, message):

@@ -306,6 +306,25 @@ def test_non_integer_resolution_rejected_before_any_grid(mp, monkeypatch):
         assert str(info.value) == message
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: triangulate("a", 2), "dimension 'a' is not an integer"),
+        (lambda: triangulate(1, 2.5), "resolution 2.5 is not an integer"),
+        (lambda: triangulate(True, 2), "dimension True is not an integer"),
+        (lambda: triangulate(1, True), "resolution True is not an integer"),
+        (lambda: player_triangulations(MATCHING_PENNIES, True), "resolution True is not an integer"),
+        (lambda: player_triangulations(MATCHING_PENNIES, (2, False)), "resolution False is not an integer"),
+        (lambda: player_triangulations(MATCHING_PENNIES, 2, budget=True), "budget True is not an integer"),
+    ],
+    ids=["dim-str", "m-float", "dim-bool", "m-bool", "all-bool", "one-bool", "budget-bool"],
+)
+def test_grids_refuse_non_integers_and_bools(call, message):
+    with pytest.raises(errors.ParameterOutOfRange) as info:
+        call()
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("budget", [0, -5])
 def test_budget_below_one_rejected(mp, budget):
     calls = (
