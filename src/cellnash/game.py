@@ -10,17 +10,21 @@ total — the case split the refinement loop reports for each chosen cell.
 All arithmetic is exact: it reads a float payoff or probability as the
 exact binary fraction it holds.  Gain tables and grid labels sum on
 integers (:func:`deviation_sums` over common-denominator numerators) and
-make Fractions only for the values they report.
+make Fractions only for the values they report.  Each integer form is
+made once: a :class:`Game` keeps its payoff tensors' and a
+:class:`MixedProfile` its strategy vectors', built when the object is,
+and an all-``int`` tensor or vector is its own form, not a copy.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from . import scalars
 from .errors import (
@@ -37,27 +41,61 @@ from .scalars import Scalar
 
 # bool is an int; a float must also be finite, which the classes check
 _NUMBER_TYPES = frozenset((int, bool, Fraction, float))
+_INT = frozenset((int,))
 
 
-@dataclass(frozen=True)
+@functools.cache
+def _ones(count: int) -> tuple[int, ...]:
+    # the denominators of an all-int game or profile, one shared tuple
+    return (1,) * count
+
+
+def _cached():
+    # an integer form made once in __post_init__; kept out of the
+    # generated __init__, ==, hash and repr
+    return field(init=False, repr=False, compare=False)
+
+
+def _not_a_tuple(value) -> str:
+    if isinstance(value, Sequence):
+        return f"is a {type(value).__name__}, not a tuple"
+    return "is not a sequence"
+
+
+@dataclass(frozen=True, slots=True)
 class Game:
     """Dense payoff tensors over named strategies.
 
     ``payoffs[i]`` is player ``i``'s tensor flattened row-major with the
-    last player's strategy varying fastest; ``payoffs`` and each tensor
-    must be tuples, else :class:`ShapeError`.  A payoff is an ``int``
-    (``bool`` included), a ``Fraction`` or a finite float: anything else,
-    NaN and the infinities included, is a :class:`ParseError`.
+    last player's strategy varying fastest.  ``strategy_names``, each of
+    its name groups, ``payoffs`` and each tensor must be tuples, else
+    :class:`ShapeError`.  A payoff is an ``int`` (``bool`` included), a
+    ``Fraction`` or a finite float: anything else, NaN and the infinities
+    included, is a :class:`ParseError`.
+
+    ``integer_payoffs[i]`` and ``payoff_scales[i]`` are player ``i``'s
+    tensor as integer numerators over their least common denominator,
+    made once here; an all-``int`` tensor is its own integer form, the
+    same tuple, with scale 1.
     """
 
     strategy_names: tuple[tuple[str, ...], ...]
     payoffs: tuple[tuple[Scalar, ...], ...]  # one flat tensor per player
     name: str = ""
+    integer_payoffs: tuple[tuple[int, ...], ...] = _cached()
+    payoff_scales: tuple[int, ...] = _cached()
+    _shape: tuple[int, ...] = _cached()
+    _strides: tuple[int, ...] = _cached()
 
     def __post_init__(self):
+        # a list would leave the frozen game unhashable
+        if type(self.strategy_names) is not tuple:
+            raise ShapeError(f"strategy_names {_not_a_tuple(self.strategy_names)}")
         if not self.strategy_names:
             raise ShapeError("a game needs at least one player")
         for names in self.strategy_names:
+            if type(names) is not tuple:
+                raise ShapeError(f"strategy names {names!r} {_not_a_tuple(names)}")
             if not names:
                 raise ShapeError("every player needs at least one strategy")
             if len(set(names)) != len(names):
@@ -69,7 +107,6 @@ class Game:
                 f"expected {len(shape)} payoff tensors, got {len(self.payoffs)}"
             )
         for i, tensor in enumerate(self.payoffs):
-            # a list would leave the frozen game unhashable
             if type(tensor) is not tuple:
                 raise ShapeError(
                     f"payoff tensor {i} is a {type(tensor).__name__}, not a tuple"
@@ -80,18 +117,27 @@ class Game:
                 )
         if type(self.payoffs) is not tuple:
             raise ShapeError(f"payoffs is a {type(self.payoffs).__name__}, not a tuple")
-        # an exact game costs one type scan; floats and strays a second
-        types = set(map(type, itertools.chain(*self.payoffs)))
-        if float in types or not types <= _NUMBER_TYPES:
-            for v in itertools.chain(*self.payoffs):
-                if type(v) not in _NUMBER_TYPES:
-                    raise ParseError(f"payoff {v!r} is not a number")
-                if isinstance(v, float) and not math.isfinite(v):
-                    raise ParseError(f"payoff {v} is not finite")
+        # an integer game costs one type scan and no copy; others a
+        # second scan and one integer tensor per player
+        if _INT.issuperset(map(type, itertools.chain(*self.payoffs))):
+            tensors, scales = self.payoffs, _ones(len(shape))
+        else:
+            types = set(map(type, itertools.chain(*self.payoffs)))
+            if float in types or not types <= _NUMBER_TYPES:
+                for v in itertools.chain(*self.payoffs):
+                    if type(v) not in _NUMBER_TYPES:
+                        raise ParseError(f"payoff {v!r} is not a number")
+                    if isinstance(v, float) and not math.isfinite(v):
+                        raise ParseError(f"payoff {v} is not finite")
+            forms = [scalars.as_integers(tensor) for tensor in self.payoffs]
+            tensors = tuple(tuple(nums) for nums, _ in forms)
+            scales = tuple(scale for _, scale in forms)
         # running products of the later players' strategy counts
         strides = tuple(itertools.accumulate(shape[:0:-1], operator.mul, initial=1))
-        object.__setattr__(self, "_shape", shape)
-        object.__setattr__(self, "_strides", strides[::-1])
+        _set_integer_payoffs(self, tensors)
+        _set_payoff_scales(self, scales)
+        _set_shape(self, shape)
+        _set_strides(self, strides[::-1])
 
     @property
     def num_players(self) -> int:
@@ -106,13 +152,13 @@ class Game:
         return self._strides
 
     def payoff(self, player: int, pure: Sequence[int]) -> Scalar:
-        """Payoff to ``player`` at a pure strategy combination."""
-        if not 0 <= player < len(self.payoffs):
-            raise IndexOutOfRange(f"player index {player} out of range")
+        """Payoff to ``player`` at a pure strategy combination; an index
+        that is not an ``int`` is out of range."""
+        _check_player(self, player)
         idx = 0
         for stride, s, count in zip(self._strides, pure, self._shape):
-            if not 0 <= s < count:
-                raise IndexOutOfRange(f"strategy index {s} out of range")
+            if type(s) is not int or not 0 <= s < count:
+                raise IndexOutOfRange(f"strategy index {s!r} out of range")
             idx += stride * s
         return self.payoffs[player][idx]
 
@@ -123,7 +169,15 @@ class Game:
         return idx
 
 
-@dataclass(frozen=True)
+# __post_init__ stores its forms through the slots' own setters: the
+# frozen class refuses setattr, and object.__setattr__ costs twice as much
+_set_integer_payoffs = Game.integer_payoffs.__set__
+_set_payoff_scales = Game.payoff_scales.__set__
+_set_shape = Game._shape.__set__
+_set_strides = Game._strides.__set__
+
+
+@dataclass(frozen=True, slots=True)
 class PureProfile:
     """One strategy index per player."""
 
@@ -140,39 +194,79 @@ class PureProfile:
         return MixedProfile(tuple(dists))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MixedProfile:
-    """One probability vector per player; validated on construction: an
-    entry that is not an int, Fraction or float is invalid, as in Game."""
+    """One probability vector per player, validated on construction.
+
+    ``dist`` and each vector must be tuples, and an entry that is not an
+    int, Fraction or float is invalid, as in Game.  ``numerators[i]`` and
+    ``denominators[i]`` are player ``i``'s vector as integers over their
+    least common denominator; the check runs on them (numerators at least
+    0 that sum to the denominator).  An all-``int`` vector is its own
+    integer form, the same tuple, with denominator 1.
+    """
 
     dist: tuple[tuple[Scalar, ...], ...]
+    numerators: tuple[tuple[int, ...], ...] = _cached()
+    denominators: tuple[int, ...] = _cached()
 
     def __post_init__(self):
-        for vector in self.dist:
-            try:
-                types = set(map(type, vector))
-            except TypeError:
-                raise InvalidDistribution(
-                    f"strategy vector {vector!r} is not a sequence"
-                ) from None
-            if not types <= _NUMBER_TYPES:
-                bad = next(p for p in vector if type(p) not in _NUMBER_TYPES)
-                raise InvalidDistribution(f"probability {bad!r} is not a number")
-            for p in vector:
-                if not p >= 0:  # also refuses NaN
-                    raise InvalidDistribution(f"negative probability {p}")
-            try:  # floats as the exact fractions they hold
-                total = sum(map(Fraction, vector) if float in types else vector)
-            except OverflowError:  # only +inf gets here, and it has no exact value
-                raise InvalidDistribution("infinite probability") from None
-            if total != 1:
-                raise InvalidDistribution(f"probabilities sum to {total}, expected 1")
+        dist = self.dist
+        if type(dist) is not tuple:
+            raise InvalidDistribution(f"dist {dist!r} {_not_a_tuple(dist)}")
+        # an int vector is valid exactly when it is pure, one 1 and the
+        # rest 0, and a profile of such vectors is its own integer form
+        for vector in dist:
+            if not (
+                type(vector) is tuple
+                and vector.count(0) == len(vector) - 1
+                and 1 in vector
+            ):
+                break
+        else:
+            if _INT.issuperset(map(type, itertools.chain.from_iterable(dist))):
+                _set_numerators(self, dist)
+                _set_denominators(self, _ones(len(dist)))
+                return
+        forms = [_integer_vector(vector) for vector in dist]
+        _set_numerators(self, tuple(nums for nums, _ in forms))
+        _set_denominators(self, tuple(den for _, den in forms))
 
     def support(self, player: int) -> tuple[int, ...]:
-        return tuple(s for s, p in enumerate(self.dist[player]) if p > 0)
+        return tuple(s for s, k in enumerate(self.numerators[player]) if k)
 
 
-@dataclass(frozen=True)
+_set_numerators = MixedProfile.numerators.__set__
+_set_denominators = MixedProfile.denominators.__set__
+
+
+def _integer_vector(vector) -> tuple[tuple[int, ...], int]:
+    """A strategy vector's numerators over their least common denominator,
+    once the vector is checked to be a probability vector."""
+    if type(vector) is not tuple:
+        raise InvalidDistribution(f"strategy vector {vector!r} {_not_a_tuple(vector)}")
+    types = set(map(type, vector))
+    if not types <= _NUMBER_TYPES:
+        bad = next(p for p in vector if type(p) not in _NUMBER_TYPES)
+        raise InvalidDistribution(f"probability {bad!r} is not a number")
+    if float in types:
+        for p in vector:
+            if not p >= 0:  # also refuses NaN
+                raise InvalidDistribution(f"negative probability {p}")
+    try:  # floats as the exact fractions they hold
+        nums, den = scalars.as_integers(vector)
+    except OverflowError:  # only +inf gets here, and it has no exact value
+        raise InvalidDistribution("infinite probability") from None
+    if min(nums, default=0) < 0:
+        bad = next(p for p, k in zip(vector, nums) if k < 0)
+        raise InvalidDistribution(f"negative probability {bad}")
+    if sum(nums) != den:
+        total = scalars.exact_div(sum(nums), den)
+        raise InvalidDistribution(f"probabilities sum to {total}, expected 1")
+    return tuple(nums), den
+
+
+@dataclass(frozen=True, slots=True)
 class GainTable:
     """Per-strategy deviation gains, per-player best gains, their sum,
     and the players whose best gain exceeds an equal share of the sum."""
@@ -253,26 +347,37 @@ def deviation_sums(
     return out
 
 
-def deviation_rows(game: Game, sigma: MixedProfile) -> list[tuple]:
-    """Per player ``(nums, den, scale, devs)``: weights ``nums[s] / den``,
-    the payoff tensor's common denominator ``scale``, and ``devs[s]``, the
-    deviation payoff to ``s`` times ``scale`` and every other player's
-    ``den``.  That factor is positive and shared, so argmins and ties are
-    exact."""
+def deviation_rows(game: Game, sigma: MixedProfile) -> Iterator[tuple]:
+    """Per player, in order, ``(nums, den, scale, devs)``: weights
+    ``nums[s] / den``, the payoff tensor's common denominator ``scale``,
+    and ``devs[s]``, the deviation payoff to ``s`` times ``scale`` and
+    every other player's ``den``.  That factor is positive and shared, so
+    argmins and ties are exact.
+
+    The shapes are checked at once; each player's row is summed when it
+    is reached, from the integer forms ``game`` and ``sigma`` keep.
+    """
     check_profile(game, sigma)
-    vectors = [scalars.as_integers(vector) for vector in sigma.dist]
+    return _rows(game, sigma)
+
+
+def _rows(game: Game, sigma: MixedProfile) -> Iterator[tuple]:
     supports = [
         [(s * stride, k) for s, k in enumerate(nums) if k]
-        for (nums, _), stride in zip(vectors, game.strides)
+        for nums, stride in zip(sigma.numerators, game.strides)
     ]
-    rows = []
-    players = zip(vectors, game.shape, game.strides)
-    for i, ((nums, den), count, stride) in enumerate(players):
-        tensor, scale = scalars.as_integers(game.payoffs[i])
-        offsets = range(0, count * stride, stride)
-        devs = deviation_sums(tensor, supports[:i] + supports[i + 1 :], offsets)
-        rows.append((nums, den, scale, devs))
-    return rows
+    players = zip(
+        sigma.numerators,
+        sigma.denominators,
+        game.integer_payoffs,
+        game.payoff_scales,
+        game.shape,
+        game.strides,
+    )
+    for i, (nums, den, tensor, scale, count, stride) in enumerate(players):
+        others = supports[:i] + supports[i + 1 :]
+        devs = deviation_sums(tensor, others, range(0, count * stride, stride))
+        yield nums, den, scale, devs
 
 
 def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
@@ -288,12 +393,10 @@ def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
     share one denominator and only the reported values become Fractions.
     """
     n = game.num_players
-    rows = deviation_rows(game, sigma)
-    _, dens, scales, _ = zip(*rows)
-    den_all = math.prod(dens)
+    den_all = math.prod(sigma.denominators)
     gains = []
     best = []
-    for nums, den, scale, devs in rows:
+    for nums, den, scale, devs in deviation_rows(game, sigma):
         # devs[s] * den is the deviation payoff to s times scale * den_all,
         # and own the expected payoff on that scale: devs' weighted average
         own = sum(map(operator.mul, nums, devs))
@@ -301,6 +404,7 @@ def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
         gains.append(_ratios(row, scale * den_all))
         best.append(max(row))
     # best[i] / (scales[i] * den_all), summed over the lcm of the scales
+    scales = game.payoff_scales
     lcm = math.lcm(*scales)
     lifted = [b * (lcm // scale) for b, scale in zip(best, scales)]
     total = sum(lifted)
@@ -332,11 +436,12 @@ def is_equilibrium(game: Game, sigma: MixedProfile, eps: Scalar) -> bool:
     pure ones, so its gain never beats the best pure gain.  The test runs
     on :func:`deviation_rows`' integers, with ``eps`` read as the exact
     ratio it holds (a float's binary value); no gain table is built, and
-    the comparisons stop at the first player that can gain more.
+    the rows are summed one player at a time, stopping at the first
+    player that can gain more.
     """
     check_eps(eps)
     rows = deviation_rows(game, sigma)
-    den_all = math.prod(row[1] for row in rows)
+    den_all = math.prod(sigma.denominators)
     num, den_eps = eps.as_integer_ratio()
     # as in gain_table: den * max(devs) - own is the best gain times
     # scale * den_all, so the bound is eps times that factor

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 from typing import Sequence
 
 from .errors import ParameterOutOfRange
@@ -81,7 +82,7 @@ def grid_labels(game: Game, tris: Sequence[Triangulation]) -> list[int]:
             axis.append((v * step, [(s * stride, k) for s, k in enumerate(nums) if k]))
         axes.append(axis)
     for i, axis in enumerate(axes):
-        tensor, _ = scalars.as_integers(game.payoffs[i])
+        tensor = game.integer_payoffs[i]
         offsets = [s * game.strides[i] for s in range(game.shape[i])]
         ids: dict[tuple[int, ...], int] = {}
         support_ids = [
@@ -103,8 +104,11 @@ def grid_labels(game: Game, tris: Sequence[Triangulation]) -> list[int]:
 def root_motion(game: Game, sigma: MixedProfile, t: Scalar) -> MixedProfile:
     """Point at parameter ``t`` on the segment from ``sigma`` to the
     degenerate profile on its label.  ``t=0`` returns ``sigma`` itself,
-    ``t=1`` the fully moved profile."""
-    if not 0 <= t <= 1:
+    ``t=1`` the fully moved profile.  A ``t`` that is not an int, Fraction
+    or float, or lies outside [0, 1], is a :class:`ParameterOutOfRange`."""
+    if not isinstance(t, (int, Fraction, float)):
+        raise ParameterOutOfRange(f"t {t!r} is not an int, Fraction or float")
+    if not 0 <= t <= 1:  # also refuses NaN
         raise ParameterOutOfRange(f"t={t} outside [0, 1]")
     t = scalars.exact([t])[0]
     targets = root_label(game, sigma).choices

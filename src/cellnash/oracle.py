@@ -4,6 +4,12 @@ Nothing here reuses the labeling or search machinery — results come from
 direct payoff comparisons and small exact linear systems, so they can
 vouch for the solver's output rather than echo it.
 
+The grid scan makes its integer forms once per scan: each vertex's
+lattice numerators, and the payoff tensors the game keeps.  It sums one
+deviation vector per player and tuple of the other players' vertices, so
+a lattice profile costs one dot product per player, and it builds a gain
+table only for the profile it returns.
+
 Support enumeration settles every support pair with a single strategy on
 either side by pure best replies, computed once per game; it solves
 indifference systems only for pairs with two strategies or more on both
@@ -17,12 +23,21 @@ replies.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import scalars
 from .errors import ParameterOutOfRange
-from .game import Game, GainTable, MixedProfile, check_eps, gain_table
+from .game import (
+    Game,
+    GainTable,
+    MixedProfile,
+    check_eps,
+    deviation_sums,
+    gain_table,
+)
 from .linalg import solve_affine
 from .scalars import Scalar
 from .subdivision import player_triangulations
@@ -41,17 +56,56 @@ def grid_min_regret(
     budget: Optional[int] = None,
 ) -> OracleResult:
     """Exhaustive scan of every lattice profile, keeping the first
-    profile (lexicographic vertex order) with the smallest max regret."""
+    profile (lexicographic vertex order) with the smallest max regret.
+
+    Player ``i``'s deviation payoffs depend only on the other players'
+    vertices, so they are summed once per player and tuple of the other
+    players' vertices, on integers: the player's integer payoffs, and
+    each vertex's weights as its lattice numerators over the resolution.
+    A profile's regret for player ``i`` is then one dot product, and all
+    regrets share one positive scale (the lcm of the payoff scales times
+    every resolution), so the profiles' max regrets compare as integers.
+    Only the winner's gain table is built, for the reported regret.
+    """
     tris = player_triangulations(game, resolutions, budget)
-    best_profile = None
-    best_regret = None
-    for combo in itertools.product(*(t.vertices for t in tris)):
-        profile = MixedProfile(tuple(combo))
-        regret = max(gain_table(game, profile).best)
-        if best_regret is None or regret < best_regret:
-            best_profile = profile
-            best_regret = regret
-    return OracleResult(profile=best_profile, max_regret=best_regret, method="GRID")
+    counts = [len(t.vertices) for t in tris]
+    steps = [math.prod(counts[j + 1 :]) for j in range(len(tris))]
+    # per player and vertex: its offset into the profile list, its lattice
+    # numerators, and its support as (payoff tensor offset, numerator) pairs
+    axes = []
+    for tri, step, stride in zip(tris, steps, game.strides):
+        axis = []
+        for v, vertex in enumerate(tri.vertices):
+            nums = [int(p * tri.resolution) for p in vertex]
+            pairs = [(s * stride, k) for s, k in enumerate(nums) if k]
+            axis.append((v * step, nums, pairs))
+        axes.append(axis)
+    lcm = math.lcm(*game.payoff_scales)
+    worst = [0] * math.prod(counts)  # each profile's max regret, scaled
+    for i, axis in enumerate(axes):
+        tensor = game.integer_payoffs[i]
+        m = tris[i].resolution
+        lift = lcm // game.payoff_scales[i]
+        offsets = range(0, game.shape[i] * game.strides[i], game.strides[i])
+        for combo in itertools.product(*axes[:i], *axes[i + 1 :]):
+            devs = deviation_sums(tensor, [pairs for _, _, pairs in combo], offsets)
+            top = m * max(devs)
+            base = sum(offset for offset, _, _ in combo)
+            for offset, nums, _ in axis:
+                # m * max(devs) - own: the best gain on the shared scale
+                regret = (top - sum(map(operator.mul, nums, devs))) * lift
+                if regret > worst[base + offset]:
+                    worst[base + offset] = regret
+    first = worst.index(min(worst))  # the first minimum, as a strict < keeps
+    profile = MixedProfile(
+        tuple(
+            tri.vertices[first // step % count]
+            for tri, step, count in zip(tris, steps, counts)
+        )
+    )
+    return OracleResult(
+        profile=profile, max_regret=max(gain_table(game, profile).best), method="GRID"
+    )
 
 
 def verify_profile(
@@ -73,7 +127,7 @@ def _pure_payoff_matrices(game: Game) -> tuple[list[list[int]], list[list[int]]]
     # each player's payoffs scaled to integers: a positive scaling keeps
     # every indifference system's solutions and every best response
     rows, cols = game.shape
-    u1, u2 = (scalars.as_integers(tensor)[0] for tensor in game.payoffs)
+    u1, u2 = game.integer_payoffs
     return (
         [[u1[a * cols + b] for b in range(cols)] for a in range(rows)],
         [[u2[a * cols + b] for b in range(cols)] for a in range(rows)],

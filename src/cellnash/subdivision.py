@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, ParameterOutOfRange, ResolutionZero
+from .errors import (
+    BudgetExceeded,
+    DimensionMismatch,
+    IndexOutOfRange,
+    ParameterOutOfRange,
+    ResolutionZero,
+)
 from .game import Game, MixedProfile
 from .scalars import Scalar
 
@@ -145,7 +151,17 @@ class ProductCell:
 def build_product_cell(
     triangulations: Sequence[Triangulation], factor: Sequence[int]
 ) -> ProductCell:
+    """The product cell with cell ``factor[i]`` of player ``i``'s grid; a
+    factor of the wrong length is a :class:`DimensionMismatch`, and a cell
+    index that is not an ``int`` in range an :class:`IndexOutOfRange`."""
     factor = tuple(factor)
+    if len(factor) != len(triangulations):
+        raise DimensionMismatch(
+            f"factor {factor} for {len(triangulations)} triangulations"
+        )
+    for tri, c in zip(triangulations, factor):
+        if type(c) is not int or not 0 <= c < len(tri.cells):
+            raise IndexOutOfRange(f"cell index {c!r} out of range")
     factor_vertices = tuple(
         tuple(tri.vertices[v] for v in tri.cells[c])
         for tri, c in zip(triangulations, factor)

@@ -23,7 +23,7 @@ from functools import reduce
 from itertools import zip_longest
 from typing import Sequence
 
-from .errors import NotSinglePlayer, ParameterOutOfRange
+from .errors import DimensionMismatch, NotSinglePlayer, ParameterOutOfRange
 from .game import Game, MixedProfile
 from .labeling import grid_labels, root_motion
 from .linalg import determinant
@@ -82,10 +82,14 @@ def _poly_det(matrix: list[list[Poly]]) -> Poly:
     return total
 
 
-def _check_single_player(game: Game) -> None:
+def _check_grid(game: Game, tri: Triangulation) -> None:
     if game.num_players != 1:
         raise NotSinglePlayer(
             f"volume bookkeeping needs 1 player, game has {game.num_players}"
+        )
+    if tri.dim != game.shape[0] - 1:
+        raise DimensionMismatch(
+            f"grid of dimension {tri.dim} for a game with {game.shape[0]} strategies"
         )
 
 
@@ -120,9 +124,9 @@ def moved_cell_volume(
     """Signed volume of one moved cell at parameter ``t``: each vertex
     moved by :func:`~cellnash.labeling.root_motion`, then a numeric
     determinant rather than the polynomial form."""
-    _check_single_player(game)
-    if not 0 <= cell_index < len(tri.cells):
-        raise ParameterOutOfRange(f"cell index {cell_index} out of range")
+    _check_grid(game, tri)
+    if type(cell_index) is not int or not 0 <= cell_index < len(tri.cells):
+        raise ParameterOutOfRange(f"cell index {cell_index!r} out of range")
     vertices = [tri.vertices[v] for v in tri.cells[cell_index]]
     moved = [root_motion(game, MixedProfile((v,)), t).dist[0] for v in vertices]
     value = determinant(_edges(moved))
@@ -157,7 +161,7 @@ def total_volume_polynomial(game: Game, tri: Triangulation) -> VolumePolynomial:
     """Per-cell polynomials, their sum, and the cells still spanning
     volume at ``t = 1``.  The grid is labeled once, by
     :func:`~cellnash.labeling.grid_labels`."""
-    _check_single_player(game)
+    _check_grid(game, tri)
     labels = grid_labels(game, (tri,))
     polys = tuple(
         _volume_polynomial(tri, cell, [labels[v] for v in cell]) for cell in tri.cells

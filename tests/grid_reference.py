@@ -2,18 +2,19 @@
 
 The package's solver, command line and oracles do not need these, so
 they live with the tests: a point locator and a cell volume for checking
-the Kuhn grid's geometry, a generator of every product cell, and the
-deviation profile that the reference gain table evaluates directly.
+the Kuhn grid's geometry, a generator of every product cell, the
+deviation profile that the reference gain table evaluates directly, and
+the per-profile grid scan that the oracle's shared-row scan replaced.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterator, Optional, Sequence
 
 from cellnash.errors import IndexOutOfRange
-from cellnash.game import Game, MixedProfile, check_profile
+from cellnash.game import Game, MixedProfile, check_profile, gain_table
 from cellnash.linalg import determinant, solve_affine
 from cellnash.scalars import Scalar
 from cellnash.subdivision import (
@@ -74,3 +75,20 @@ def deviation_profile(
         replaced if j == player else vector for j, vector in enumerate(sigma.dist)
     )
     return MixedProfile(dists)
+
+
+def grid_min_regret_reference(
+    game: Game, resolutions: Sequence[int] | int, budget: Optional[int] = None
+) -> tuple[MixedProfile, Scalar]:
+    """The first lattice profile (lexicographic vertex order) with the
+    smallest max regret, and that regret: one gain table per profile."""
+    tris = player_triangulations(game, resolutions, budget)
+    best_profile = None
+    best_regret = None
+    for combo in itertools.product(*(t.vertices for t in tris)):
+        profile = MixedProfile(tuple(combo))
+        regret = max(gain_table(game, profile).best)
+        if best_regret is None or regret < best_regret:
+            best_profile = profile
+            best_regret = regret
+    return best_profile, best_regret

@@ -1,7 +1,10 @@
 """Payoff evaluation, deviation gains, and the equilibrium predicate."""
 
+import copy
 import itertools
 import math
+import pickle
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -15,7 +18,9 @@ from cellnash import (
     deviation_payoffs,
     errors,
     evaluate_payoff,
+    game as game_module,
     gain_table,
+    grid_labels,
     is_equilibrium,
     max_regret,
     player_triangulations,
@@ -24,7 +29,13 @@ from cellnash import (
     scan_cells,
 )
 
-from conftest import as_float_game, label_corpus, random_game, random_profile
+from conftest import (
+    as_float_game,
+    count_calls,
+    label_corpus,
+    random_game,
+    random_profile,
+)
 from grid_reference import deviation_profile
 
 import random
@@ -493,3 +504,182 @@ def test_gain_table_matches_reference_on_label_corpus(payoffs):
             )
             checked += 1
     assert checked > 9269  # vertex profiles plus barycenters
+
+
+def _as_fraction_game(game):
+    return Game(
+        strategy_names=game.strategy_names,
+        payoffs=tuple(tuple(map(Fraction, tensor)) for tensor in game.payoffs),
+        name=game.name,
+    )
+
+
+@pytest.mark.parametrize("payoffs", ["rational", "float", "fraction"])
+def test_game_keeps_integer_payoffs_equal_to_as_integers(payoffs):
+    # the label corpus (int, rational and wide payoffs, the fixture suite
+    # among them), as given, as floats and as Fractions
+    convert = {"rational": lambda g: g, "float": as_float_game, "fraction": _as_fraction_game}
+    games = {game.name: convert[payoffs](game) for game, _ in label_corpus()}
+    for game in games.values():
+        assert type(game.integer_payoffs) is tuple and type(game.payoff_scales) is tuple
+        forms = zip(game.payoffs, game.integer_payoffs, game.payoff_scales)
+        for tensor, ints, scale in forms:
+            nums, den = scalars.as_integers(tensor)
+            assert type(ints) is tuple and ints == tuple(nums) and scale == den
+            assert all(type(k) is int for k in ints)
+            if all(type(v) is int for v in tensor):
+                assert ints is tensor and scale == 1  # its own form, not a copy
+    integer_games = [g for g in games.values() if g.integer_payoffs is g.payoffs]
+    assert bool(integer_games) is (payoffs == "rational")
+
+
+def _corpus_profiles(rng):
+    """Vertex profiles of part of the label corpus, random rational
+    profiles, their float copies (dyadic weights, so the floats are exact)
+    and bool vectors."""
+    profiles = []
+    for game, m in label_corpus()[::4]:
+        tris = player_triangulations(game, m)
+        profiles += [MixedProfile(c) for c in itertools.product(*(t.vertices for t in tris))]
+        profiles.append(random_profile(game, rng))
+        dyadic = random_profile(game, rng, denominator=8)
+        profiles.append(MixedProfile(tuple(tuple(map(float, v)) for v in dyadic.dist)))
+    profiles.append(MixedProfile(((True, False), (0, 1))))
+    profiles.append(MixedProfile(((1, 0), (0.25, Fraction(3, 4)), (0, 1))))
+    return profiles
+
+
+def test_mixed_profile_keeps_integer_vectors_equal_to_as_integers():
+    profiles = _corpus_profiles(random.Random(7))
+    own = 0
+    for sigma in profiles:
+        assert type(sigma.numerators) is tuple and type(sigma.denominators) is tuple
+        assert len(sigma.numerators) == len(sigma.denominators) == len(sigma.dist)
+        for vector, nums, den in zip(sigma.dist, sigma.numerators, sigma.denominators):
+            expected, expected_den = scalars.as_integers(vector)
+            assert type(nums) is tuple and nums == tuple(expected) and den == expected_den
+            assert all(type(k) is int for k in nums) and sum(nums) == den
+            if all(type(p) is int for p in vector):
+                assert nums is vector
+        if all(type(p) is int for vector in sigma.dist for p in vector):
+            assert sigma.numerators is sigma.dist  # its own form, not a copy
+            own += 1
+    assert own > 100 and len(profiles) > 1500
+
+
+def test_cached_forms_leave_equality_hash_repr_and_copies_alone():
+    a, b = MixedProfile(((1, 0),)), MixedProfile(((Fraction(1), 0),))
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "MixedProfile(dist=((1, 0),))"
+    c, d = MixedProfile(((0.5, 0.5),)), MixedProfile(((Fraction(1, 2), Fraction(1, 2)),))
+    assert c == d and hash(c) == hash(d)
+    assert repr(d) == "MixedProfile(dist=((Fraction(1, 2), Fraction(1, 2)),))"
+    g = Game(strategy_names=(("a", "b"),), payoffs=((1, 2),), name="g")
+    h = Game(strategy_names=(("a", "b"),), payoffs=((Fraction(1), 2.0),), name="g")
+    assert g == h and hash(g) == hash(h)
+    assert repr(g) == "Game(strategy_names=(('a', 'b'),), payoffs=((1, 2),), name='g')"
+    table = gain_table(g, a)
+    assert repr(table) == "GainTable(gains=((0, 1),), best=(1,), total=1, up=(True,))"
+    assert repr(PureProfile((0,))) == "PureProfile(choices=(0,))"
+    for obj in (g, h, a, b, c, table, PureProfile((1,))):
+        assert not hasattr(obj, "__dict__")
+        for twin in (pickle.loads(pickle.dumps(obj)), copy.deepcopy(obj), copy.copy(obj)):
+            assert type(twin) is type(obj)
+            assert twin == obj and hash(twin) == hash(obj) and repr(twin) == repr(obj)
+            if isinstance(obj, Game):
+                assert twin.integer_payoffs == obj.integer_payoffs
+                assert twin.payoff_scales == obj.payoff_scales
+                assert (twin.shape, twin.strides) == (obj.shape, obj.strides)
+                assert gain_table(twin, c) == gain_table(obj, c)
+            if isinstance(obj, MixedProfile):
+                assert twin.numerators == obj.numerators
+                assert twin.denominators == obj.denominators
+                assert gain_table(h, twin) == gain_table(h, obj)
+
+
+def test_is_equilibrium_stops_at_the_first_player_that_gains(monkeypatch):
+    # eps below player 0's best gain fails after player 0's row alone; an
+    # eps at the max regret reads every player's row; both agree with
+    # max_regret <= eps
+    calls = count_calls(monkeypatch, game_module, "deviation_sums")
+    failed_first = passed = 0
+    for game, m in label_corpus():
+        if game.num_players < 2:
+            continue
+        tris = player_triangulations(game, m)
+        for combo in itertools.product(*(t.vertices for t in tris)):
+            sigma = MixedProfile(combo)
+            best = gain_table(game, sigma).best
+            regret = max_regret(game, sigma)
+            if best[0] > 0:
+                eps = Fraction(best[0]) / 2
+                calls.clear()
+                assert is_equilibrium(game, sigma, eps) is False is (regret <= eps)
+                assert len(calls) == 1, (game.name, sigma)
+                failed_first += 1
+            calls.clear()
+            assert is_equilibrium(game, sigma, regret) is True is (regret <= regret)
+            assert len(calls) == game.num_players
+            passed += 1
+    assert failed_first > 1000 and passed > 5000
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction"])
+def test_no_payoff_tensor_is_rescaled_per_call(monkeypatch, kind):
+    # the games are built first; gain tables, equilibrium tests and grid
+    # labels then read the integer tensors the games keep
+    rng = random.Random(11)
+    games = [random_game(rng, shape) for shape in ((2, 2), (3, 3), (2, 3, 2), (4,))]
+    if kind == "fraction":
+        games = [
+            Game(
+                strategy_names=g.strategy_names,
+                payoffs=tuple(tuple(Fraction(v, 3) for v in t) for t in g.payoffs),
+            )
+            for g in games
+        ]
+    calls = count_calls(monkeypatch, scalars, "as_integers")
+    tensors = [tensor for game in games for tensor in game.payoffs]
+    for game in games:
+        tris = player_triangulations(game, 2)
+        grid_labels(game, tris)
+        for combo in itertools.product(*(t.vertices for t in tris)):
+            sigma = MixedProfile(combo)
+            gain_table(game, sigma)
+            is_equilibrium(game, sigma, 0)
+    assert calls  # the profiles' own vectors still go through it
+    assert not [args for args in calls if any(args[0] is t for t in tensors)]
+
+
+def test_payoff_refuses_indices_that_are_not_ints(mp):
+    for player in ("0", 0.0, True, None):
+        with pytest.raises(errors.IndexOutOfRange) as info:
+            mp.payoff(player, (0, 0))
+        assert str(info.value) == f"player {player!r} out of range"
+    for s in ("0", 0.0, True, None):
+        for pure in ((s, 0), (0, s)):
+            with pytest.raises(errors.IndexOutOfRange) as info:
+                mp.payoff(0, pure)
+            assert str(info.value) == f"strategy index {s!r} out of range"
+
+
+def test_game_and_profile_refuse_list_containers():
+    # a list would leave the frozen object unhashable
+    for names, message in (
+        ([("a", "b")], "strategy_names is a list, not a tuple"),
+        ((["a", "b"],), "strategy names ['a', 'b'] is a list, not a tuple"),
+        ((("a",), ["a", "b"]), "strategy names ['a', 'b'] is a list, not a tuple"),
+    ):
+        with pytest.raises(errors.ShapeError) as info:
+            Game(names, ((1, 2),) * len(names))
+        assert str(info.value) == message
+    for dist, message in (
+        ([(1, 0)], "dist [(1, 0)] is a list, not a tuple"),
+        (([1, 0],), "strategy vector [1, 0] is a list, not a tuple"),
+        (((1, 0), [Fraction(1, 2), Fraction(1, 2)]), "is a list, not a tuple"),
+        (None, "dist None is not a sequence"),
+    ):
+        with pytest.raises(errors.InvalidDistribution, match=re.escape(message)):
+            MixedProfile(dist)
+    hash(Game((("a", "b"),), ((1, 2),)))
+    hash(MixedProfile(((1, 0),)))

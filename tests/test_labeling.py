@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -190,6 +191,16 @@ def test_motion_rejects_t_outside_unit_interval(mp):
         root_motion(mp, sigma, Fraction(3, 2))
     with pytest.raises(errors.ParameterOutOfRange):
         root_motion(mp, sigma, -Fraction(1, 2))
+
+
+def test_motion_refuses_t_that_is_not_a_number(mp):
+    sigma = PureProfile((0, 0)).as_mixed(mp)
+    for bad in ("x", 1j, None, Decimal("0.5")):
+        with pytest.raises(errors.ParameterOutOfRange) as info:
+            root_motion(mp, sigma, bad)
+        assert str(info.value) == f"t {bad!r} is not an int, Fraction or float"
+    with pytest.raises(errors.ParameterOutOfRange, match="outside"):
+        root_motion(mp, sigma, float("nan"))
 
 
 def test_check_root_properties_examples(mp, pd):

@@ -24,6 +24,7 @@ from cellnash import (
 
 from conftest import (
     BATTLE_OF_SEXES,
+    FIXTURE_SEED,
     MATCHING_PENNIES,
     PRISONERS_DILEMMA,
     as_float_game,
@@ -32,6 +33,7 @@ from conftest import (
     make_game,
     random_game,
 )
+from grid_reference import grid_min_regret_reference
 from support_reference import reference_support_enumeration
 
 UNIFORM_2X2 = (
@@ -59,6 +61,50 @@ def test_grid_one_player_maximizer():
     result = grid_min_regret(game, 4)
     assert result.max_regret == 0
     assert result.profile.dist == ((0, 1),)
+
+
+def _grid_cases():
+    """Every fixture at m = 1, 2, 4, and seeded 3x3, 3-player and
+    one-player grids with int, Fraction and float payoffs, some of them
+    at a different resolution per player."""
+    cases = [(game, m) for game in fixture_suite() for m in (1, 2, 4)]
+    rng = random.Random(FIXTURE_SEED)
+    for shape, resolutions in (
+        ((3, 3), (1, 2, 4, 8, (2, 5))),
+        ((3, 2), (3, 6)),
+        ((2, 2, 3), (1, 2, 4)),
+        ((3, 3, 3), (1, 2, (1, 2, 3))),
+        ((4,), (4,)),
+    ):
+        game = random_game(rng, shape, name="x".join(map(str, shape)), low=-2, high=2)
+        payoffs = tuple(
+            tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in tensor)
+            for tensor in game.payoffs
+        )
+        fraction = make_game(shape, payoffs)
+        for variant in (game, fraction, as_float_game(fraction)):
+            cases.extend((variant, m) for m in resolutions)
+    return cases
+
+
+def test_grid_scan_matches_per_profile_reference():
+    # the shared-row scan against one gain table per lattice profile:
+    # the same first minimum and the same regret, value and type
+    cases = _grid_cases()
+    for game, m in cases:
+        result = grid_min_regret(game, m)
+        profile, regret = grid_min_regret_reference(game, m)
+        assert result.profile == profile, (game.name, m)
+        assert result.profile.dist == profile.dist
+        assert result.max_regret == regret and type(result.max_regret) is type(regret)
+        assert result.method == "GRID"
+    assert len(cases) > 120
+
+
+def test_grid_scan_builds_one_gain_table(monkeypatch, rps):
+    calls = count_calls(monkeypatch, game_module, "gain_table")
+    grid_min_regret(rps, 8)
+    assert len(calls) == 1
 
 
 def test_grid_budget(mp):

@@ -346,3 +346,14 @@ def test_build_product_cell_orders_profiles_lexicographically():
     assert len(cell.vertex_profiles) == 4
     dists = [p.dist for p in cell.vertex_profiles]
     assert dists == sorted(dists)
+
+
+def test_build_product_cell_refuses_bad_factors():
+    tris = player_triangulations(MATCHING_PENNIES, 2)
+    for factor in ((9, 9), (0, 2), (-1, 0), ("0", 0), (0, 1.0), (True, 0)):
+        with pytest.raises(errors.IndexOutOfRange):
+            build_product_cell(tris, factor)
+    for factor in ((0,), (0, 0, 0)):
+        with pytest.raises(errors.DimensionMismatch):
+            build_product_cell(tris, factor)
+    assert build_product_cell(tris, (1, 0)).factor == (1, 0)

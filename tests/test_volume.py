@@ -32,6 +32,23 @@ def test_rejects_multi_player_games(mp):
         total_volume_polynomial(mp, tri)
 
 
+def test_refuses_bad_t_cell_and_grid_dimension():
+    game = make_game((2,), ((0, 1),))
+    tri = triangulate(1, 2)
+    for bad in ("x", 1j, None):
+        with pytest.raises(errors.ParameterOutOfRange):
+            moved_cell_volume(game, tri, 0, bad)
+    for cell in ("0", 0.0, True, 2, -1):
+        with pytest.raises(errors.ParameterOutOfRange):
+            moved_cell_volume(game, tri, cell, 0)
+    # a grid whose dimension is not the strategy count minus one
+    for wrong in (triangulate(2, 2), triangulate(0, 2)):
+        with pytest.raises(errors.DimensionMismatch):
+            total_volume_polynomial(game, wrong)
+        with pytest.raises(errors.DimensionMismatch):
+            moved_cell_volume(game, wrong, 0, 0)
+
+
 def test_cert_segment_grows_to_full_length():
     # g=(0,1), m=4: the segment next to the maximizer vertex carries both
     # labels; its endpoints move to the two distinct pure strategies
