@@ -8,8 +8,8 @@ exact equilibrium precisely when the summed best gains vanish, and the
 total — the case split the refinement loop reports for each chosen cell.
 
 All arithmetic is exact: it reads a float payoff or probability as the
-exact binary fraction it holds.  Gain tables and grid labels sum on
-integers (:func:`deviation_sums` over common-denominator numerators) and
+exact binary fraction it holds.  Gain tables (:func:`deviation_sums`)
+and grid labels sum on integers, common-denominator numerators, and
 make Fractions only for the values they report.  Each integer form is
 made once: a :class:`Game` keeps its payoff tensors' and a
 :class:`MixedProfile` its strategy vectors', built when the object is,

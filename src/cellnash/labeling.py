@@ -6,14 +6,21 @@ beats the profile's own payoff, so the labeled strategy always has zero
 deviation gain.  Ties break to the lowest strategy index, which keeps
 labels deterministic and grids reproducible.
 
-A whole grid is labeled per player: player ``i``'s deviation payoffs
-depend only on the other players' vertices, and player ``i``'s own vertex
-only picks the support the label is drawn from.  :func:`grid_labels`
-therefore computes one deviation vector per player and per tuple of the
-other players' vertices, and one argmin per distinct support in it.  It
-sums on integers: each vertex's weights over their common denominator
-and each payoff tensor over its own, which scales a deviation vector by
-a positive constant and so keeps its argmin and its ties exactly.
+A whole grid is labeled a row at a time, a row being the last player's
+vertex axis at one tuple of the other players' vertices.  Player ``i``'s
+deviation payoffs depend only on the other players' vertices, and player
+``i``'s own vertex only picks the support the label is drawn from.
+:func:`grid_labels` therefore contracts each payoff tensor with the other
+players' vertex weights one axis at a time, so vertex tuples with a common
+prefix share their partial sums.  The last axis is contracted a whole
+row at once, as a sum of vertex-weight columns scaled by the remaining
+payoffs; for the last player's own payoffs that axis is the second-to-
+last player's.  One argmin per distinct support over those deviation
+rows gives a row of picks, and a row of labels is the elementwise sum of
+one pick row per player, summed once per distinct combination.  The sums
+are on integers: the vertex weights over their grid's common denominator
+and each payoff tensor over its own, which scales a deviation row by a
+positive constant and so keeps its argmin and its ties exactly.
 
 Moving each player's vector along the segment toward the degenerate
 vector on their label sweeps grid cells onto pure profiles; cells whose
@@ -25,17 +32,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
-from typing import Sequence
+from functools import partial, reduce
+from typing import NamedTuple, Sequence
 
-from .errors import ParameterOutOfRange
+from .errors import DimensionMismatch, ParameterOutOfRange
 from .game import (
     Game,
     MixedProfile,
     PureProfile,
     deviation_payoffs,
     deviation_rows,
-    deviation_sums,
     evaluate_payoff,
 )
 from . import scalars
@@ -61,44 +69,163 @@ def root_label(game: Game, sigma: MixedProfile) -> PureProfile:
 def grid_labels(game: Game, tris: Sequence[Triangulation]) -> list[int]:
     """``game.flat_index`` of :func:`root_label` at every vertex profile of
     the grid, row-major over the players' vertex lists (the last player's
-    vertex varies fastest).
+    vertex varies fastest).  ``tris`` holds one triangulation per player,
+    of dimension one less than the player's strategy count; any other
+    count or dimension is a :class:`DimensionMismatch`.
 
-    Per player ``i`` and tuple of the other players' vertices, the
-    deviation payoffs are summed once, on integers, and the label is
-    taken once per distinct support among player ``i``'s vertices; a
-    profile's label is the sum of its players' ``game.strides[i] *
-    choice``.
+    The list is built a row at a time: a row is the last player's vertex
+    axis at one tuple of the other players' vertices, and it is the
+    elementwise sum of one row of ``game.strides[i] * choice`` per player
+    ``i``.
     """
-    counts = [len(t.vertices) for t in tris]
-    steps = [math.prod(counts[j + 1 :]) for j in range(len(tris))]
-    labels = [0] * math.prod(counts)
-    # per player and vertex: its offset into the label list, and its
-    # support as (payoff tensor offset, integer weight) pairs
-    axes = []
-    for tri, step, stride in zip(tris, steps, game.strides):
-        axis = []
-        for v, vertex in enumerate(tri.vertices):
-            nums, _ = scalars.as_integers(vertex)
-            axis.append((v * step, [(s * stride, k) for s, k in enumerate(nums) if k]))
-        axes.append(axis)
-    for i, axis in enumerate(axes):
-        tensor = game.integer_payoffs[i]
-        offsets = [s * game.strides[i] for s in range(game.shape[i])]
-        ids: dict[tuple[int, ...], int] = {}
-        support_ids = [
-            ids.setdefault(tuple(s for s, p in enumerate(vertex) if p), len(ids))
-            for vertex in tris[i].vertices
-        ]
-        for combo in itertools.product(*axes[:i], *axes[i + 1 :]):
-            devs = deviation_sums(tensor, [weights for _, weights in combo], offsets)
-            # root_label's rule: min keeps the first, lowest-index minimum
-            picks = [
-                game.strides[i] * min(support, key=devs.__getitem__) for support in ids
+    _check_grid(game, tris)
+    forms: dict[int, _Axis] = {}  # players that share a grid share its form
+    axes = [forms.get(id(t)) or forms.setdefault(id(t), _axis(t)) for t in tris]
+    # per player: a table of distinct rows, and each output row's key in it
+    parts = [_pick_rows(game, axes, i) for i in range(len(axes) - 1)]
+    parts.append(_last_rows(game, axes))
+    tables = [table for table, _ in parts]
+    combos = list(zip(*(keys for _, keys in parts)))
+    # an output row is the sum of its players' rows; each distinct one is summed once
+    rows = {
+        combo: list(reduce(_add, map(operator.getitem, tables, combo)))
+        for combo in set(combos)
+    }
+    return list(itertools.chain.from_iterable(map(rows.__getitem__, combos)))
+
+
+def _check_grid(game: Game, tris: Sequence[Triangulation]) -> None:
+    if len(tris) != game.num_players:
+        raise DimensionMismatch(
+            f"{len(tris)} triangulations for a game with {game.num_players} players"
+        )
+    for i, (tri, count) in enumerate(zip(tris, game.shape)):
+        if tri.dim != count - 1:
+            raise DimensionMismatch(
+                f"grid of dimension {tri.dim} for player {i} with {count} strategies"
+            )
+
+
+class _Axis(NamedTuple):
+    """One player's grid in integers: per vertex its weights (numerators
+    over the grid's common denominator) and its support's id; the
+    supports in id order; and ``columns[s]``, every vertex's weight on
+    strategy ``s``."""
+
+    weights: list
+    ids: list[int]
+    supports: list[tuple[int, ...]]
+    columns: list[tuple[int, ...]]
+
+
+def _axis(tri: Triangulation) -> _Axis:
+    size = tri.dim + 1
+    nums, _ = scalars.as_integers(list(itertools.chain.from_iterable(tri.vertices)))
+    weights = [nums[k : k + size] for k in range(0, len(nums), size)]
+    strategies = range(size)
+    found: dict[tuple[int, ...], int] = {}
+    ids = [
+        found.setdefault(tuple(itertools.compress(strategies, w)), len(found))
+        for w in weights
+    ]
+    return _Axis(weights, ids, list(found), list(zip(*weights)))
+
+
+def _pick_rows(game: Game, axes: Sequence[_Axis], i: int) -> tuple[list, list[int]]:
+    """Player ``i``'s (not the last player's) distinct rows of
+    ``game.strides[i] * choice`` along the last player's vertices, and
+    per output row, in order, the index of its row."""
+    *prefix, last = axes
+    counts = [len(a.ids) for a in prefix]
+    outer, inner = math.prod(counts[:i]), math.prod(counts[i + 1 :])
+    count, stride, supports = game.shape[i], game.strides[i], axes[i].supports
+    blocks = _contract(game.integer_payoffs[i], game, axes, len(prefix), keep=i)
+    found: dict[tuple[int, ...], int] = {}
+    picks = []  # per tuple of the other prefix players' vertices, per support
+    for o in range(outer):
+        for u in range(inner):
+            # one deviation row per strategy, along the last player's vertices
+            devs = [
+                _along(last.columns, blocks[(o * count + s) * inner + u])
+                for s in range(count)
             ]
-            base = sum(offset for offset, _ in combo)
-            for (offset, _), sid in zip(axis, support_ids):
-                labels[base + offset] += picks[sid]
-    return labels
+            rows = (tuple(_argmins(devs, support, stride)) for support in supports)
+            picks.append([found.setdefault(row, len(found)) for row in rows])
+    keys = [
+        picks[o * inner + u][sid]
+        for o in range(outer)
+        for sid in axes[i].ids
+        for u in range(inner)
+    ]
+    return list(found), keys
+
+
+def _last_rows(game: Game, axes: Sequence[_Axis]) -> tuple[dict, list]:
+    """The last player's distinct rows of choices, keyed by the choice
+    per support, and per output row, in order, its key.  The deviation
+    rows run along the second-to-last player's vertices, so one argmin
+    per support covers that many output rows."""
+    *prefix, last = axes
+    if prefix:
+        count, columns = game.shape[-1], prefix[-1].columns
+        blocks = _contract(game.integer_payoffs[-1], game, axes, len(prefix) - 1)
+        rows = [
+            [_along(columns, block[s::count]) for s in range(count)] for block in blocks
+        ]
+    else:  # one player: the deviation payoffs are the payoffs, rows of one
+        rows = [list(zip(game.integer_payoffs[0]))]
+    keys = []
+    for devs in rows:
+        keys += zip(*(_argmins(devs, support, 1) for support in last.supports))
+    return {key: tuple(map(key.__getitem__, last.ids)) for key in set(keys)}, keys
+
+
+def _contract(tensor, game: Game, axes: Sequence[_Axis], stop: int, keep=None):
+    """``tensor`` summed over each player ``j < stop`` against their
+    vertex weights, one axis at a time, except that player ``keep``'s
+    axis is only split by strategy.  Returns the remaining sub-tensors,
+    row-major over the players' vertices (``keep``'s strategies)."""
+    blocks = [tensor]
+    for j in range(stop):
+        size = game.strides[j]
+        # each block's sub-tensors, one per strategy of player j
+        split = [
+            [block[s : s + size] for s in range(0, len(block), size)]
+            for block in blocks
+        ]
+        if j == keep:
+            blocks = list(itertools.chain.from_iterable(split))
+        else:
+            blocks = [_along(parts, w) for parts in split for w in axes[j].weights]
+    return blocks
+
+
+def _along(rows, weights):
+    # the elementwise sum of k * rows[t] over the weights k = weights[t] != 0
+    scaled = [
+        row if k == 1 else map(k.__mul__, row) for k, row in zip(weights, rows) if k
+    ]
+    if not scaled:
+        return [0] * len(rows[0])
+    return list(reduce(_add, scaled))
+
+
+def _argmins(rows, support, stride):
+    """Per position, ``stride`` times the strategy ``s`` of the ascending
+    ``support`` with the smallest ``rows[s]`` entry there, the first on
+    ties (:func:`root_label`'s rule)."""
+    if len(support) == 1:
+        return [stride * support[0]] * len(rows[support[0]])
+    if len(support) == 2:
+        a, b = support
+        # b only where it is strictly smaller
+        picks = (stride * a, stride * b)
+        return list(map(picks.__getitem__, map(operator.gt, rows[a], rows[b])))
+    values = [stride * s for s in support]
+    return [values[r.index(min(r))] for r in zip(*map(rows.__getitem__, support))]
+
+
+_add = partial(map, operator.add)  # elementwise, lazily
 
 
 def root_motion(game: Game, sigma: MixedProfile, t: Scalar) -> MixedProfile:

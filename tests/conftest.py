@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import pytest
 
-from cellnash import Game, MixedProfile
+from cellnash import Game, MixedProfile, triangulate
 
 FIXTURE_SEED = 104729
 
@@ -150,6 +150,22 @@ def label_corpus():
             game = make_game(shape, payoffs, name=f"{'x'.join(map(str, shape))}-{kind}")
             cases.extend((game, m) for m in resolutions)
     return cases
+
+
+def mismatched_grids():
+    """(game, triangulations) pairs whose triangulation count or
+    dimensions do not fit the game."""
+    two = make_game((2, 2), ((1, 0, 0, 1), (0, 1, 1, 0)))
+    three_two = make_game((3, 2), ((1, 0, 0, 1, 2, 0), (0, 1, 1, 0, 0, 2)))
+    line, plane = triangulate(1, 2), triangulate(2, 2)
+    return [
+        (two, (line,)),
+        (two, (line, line, line)),
+        (two, (plane, line)),
+        (two, (line, plane)),
+        (three_two, (line, line)),
+        (two, ()),
+    ]
 
 
 def as_float_game(game):

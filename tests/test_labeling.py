@@ -24,7 +24,14 @@ from cellnash import (
     root_motion,
 )
 
-from conftest import as_float_game, label_corpus, make_game, random_game, random_profile
+from conftest import (
+    as_float_game,
+    label_corpus,
+    make_game,
+    mismatched_grids,
+    random_game,
+    random_profile,
+)
 
 
 def test_label_forced_by_singleton_supports(mp):
@@ -58,6 +65,70 @@ def test_grid_labels_match_root_label_everywhere(payoffs):
             game.name,
             m,
         )
+
+
+def seeded_games(shape, count=3):
+    rng = random.Random(repr(shape))
+    return [random_game(rng, shape) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "shape, resolutions",
+    [
+        ((3, 3), (2, 5)),
+        ((3, 3), (5, 1)),
+        ((2, 3), (6, 2)),
+        ((2, 2, 2), (1, 3, 4)),
+        ((3, 2, 2), (4, 1, 2)),
+        ((2, 2, 3), (3, 2, 1)),
+    ],
+)
+def test_grid_labels_with_mixed_resolutions(shape, resolutions):
+    for game in seeded_games(shape):
+        tris = player_triangulations(game, resolutions)
+        assert grid_labels(game, tris) == reference_grid_labels(game, tris)
+
+
+@pytest.mark.parametrize(
+    "shape, ms",
+    [
+        ((3, 1), (1, 2, 4)),  # the last player has one strategy
+        ((2, 2, 1), (1, 2, 3)),
+        ((2, 2, 2, 2, 2), (1, 2)),  # five players
+        ((2, 4), (1, 2, 3)),  # the last player has more strategies
+        ((2, 2, 3), (1, 2)),
+    ],
+)
+def test_grid_labels_on_odd_shapes(shape, ms):
+    for game in seeded_games(shape):
+        for m in ms:
+            tris = player_triangulations(game, m)
+            assert grid_labels(game, tris) == reference_grid_labels(game, tris), m
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (4, 3), (3, 4, 2), (2, 3, 4)])
+def test_grid_labels_break_all_ties_to_the_lowest_index(shape):
+    # with one player's payoffs all 0, every supported strategy ties, and
+    # that player's label is the lowest index of its support everywhere
+    for zero, game in enumerate(seeded_games(shape, len(shape))):
+        payoffs = list(game.payoffs)
+        payoffs[zero] = (0,) * math.prod(shape)
+        game = make_game(shape, tuple(payoffs))
+        for m in (2, 3):
+            tris = player_triangulations(game, m)
+            labels = grid_labels(game, tris)
+            assert labels == reference_grid_labels(game, tris), (zero, m)
+            profiles = itertools.product(*(t.vertices for t in tris))
+            for label, combo in zip(labels, profiles):
+                choice = label // game.strides[zero] % shape[zero]
+                assert choice == next(s for s, p in enumerate(combo[zero]) if p)
+
+
+@pytest.mark.parametrize("case", range(len(mismatched_grids())))
+def test_grid_labels_refuse_mismatched_triangulations(case):
+    game, tris = mismatched_grids()[case]
+    with pytest.raises(errors.DimensionMismatch):
+        grid_labels(game, tris)
 
 
 def reference_root_label(game, sigma):

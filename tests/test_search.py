@@ -46,6 +46,7 @@ from conftest import (
     count_calls,
     label_corpus,
     make_game,
+    mismatched_grids,
     payoff_range,
     random_game,
 )
@@ -227,6 +228,13 @@ def test_scan_labels_each_grid_once_per_player(monkeypatch):
     labels = grid_labels(game, tris)
     assert (root_calls, deviation_calls, profiles) == ([], [], [])
     assert len(labels) == math.comb(8 + 2, 2) ** 2
+
+
+@pytest.mark.parametrize("case", range(len(mismatched_grids())))
+def test_scan_refuses_mismatched_triangulations(case):
+    game, tris = mismatched_grids()[case]
+    with pytest.raises(errors.DimensionMismatch):
+        scan_cells(game, tris)
 
 
 def test_full_cell_at_m1_is_always_a_cert(mp, pd, bos):
