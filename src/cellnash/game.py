@@ -8,12 +8,13 @@ exact equilibrium precisely when the summed best gains vanish, and the
 total — the case split the refinement loop reports for each chosen cell.
 
 All arithmetic is exact: it reads a float payoff or probability as the
-exact binary fraction it holds.  Gain tables (:func:`deviation_sums`)
-and grid labels sum on integers, common-denominator numerators, and
-make Fractions only for the values they report.  Each integer form is
-made once: a :class:`Game` keeps its payoff tensors' and a
-:class:`MixedProfile` its strategy vectors', built when the object is,
-and an all-``int`` tensor or vector is its own form, not a copy.
+exact binary fraction it holds.  Expected and deviation payoffs, gain
+tables (:func:`deviation_sums`) and grid labels sum on integers,
+common-denominator numerators, and divide only the values they report.
+Each integer form is made once: a :class:`Game` keeps its payoff
+tensors' and a :class:`MixedProfile` its strategy vectors', built when
+the object is, and an all-``int`` tensor or vector is its own form, not
+a copy.
 """
 
 from __future__ import annotations
@@ -297,28 +298,36 @@ def _check_player(game: Game, player: int) -> None:
 def evaluate_payoff(game: Game, sigma: MixedProfile, player: int) -> Scalar:
     """Expected payoff: the payoff tensor contracted with every player's
     strategy vector.  Zero-probability strategies are skipped, which is
-    exact and makes pure profiles cheap."""
+    exact and makes pure profiles cheap.  The sum runs on the integer
+    forms and is divided once."""
     check_profile(game, sigma)
     _check_player(game, player)
-    supports = [
-        [(s * stride, p) for s, p in enumerate(scalars.exact(vector)) if p]
-        for vector, stride in zip(sigma.dist, game.strides)
-    ]
-    return deviation_sums(scalars.exact(game.payoffs[player]), supports, [0])[0]
+    tensor = game.integer_payoffs[player]
+    (total,) = deviation_sums(tensor, _supports(game, sigma), [0])
+    den = game.payoff_scales[player] * math.prod(sigma.denominators)
+    return scalars.exact_div(total, den)
 
 
 def deviation_payoffs(game: Game, sigma: MixedProfile, player: int) -> tuple[Scalar, ...]:
     """Expected payoff to ``player`` after switching to each pure strategy,
-    computed in one pass over the other players' supports."""
+    computed in one pass over the other players' supports, on integers."""
     check_profile(game, sigma)
     _check_player(game, player)
-    others = [
-        [(s * stride, p) for s, p in enumerate(scalars.exact(vector)) if p]
-        for j, (vector, stride) in enumerate(zip(sigma.dist, game.strides))
-        if j != player
+    others = _supports(game, sigma)
+    del others[player]
+    stride = game.strides[player]
+    offsets = range(0, game.shape[player] * stride, stride)
+    devs = deviation_sums(game.integer_payoffs[player], others, offsets)
+    dens = sigma.denominators
+    return _ratios(devs, game.payoff_scales[player] * math.prod(dens) // dens[player])
+
+
+def _supports(game: Game, sigma: MixedProfile) -> list[list[tuple[int, int]]]:
+    # per player, the (tensor offset, numerator) pairs of the supported strategies
+    return [
+        [(s * stride, k) for s, k in enumerate(nums) if k]
+        for nums, stride in zip(sigma.numerators, game.strides)
     ]
-    offsets = [s * game.strides[player] for s in range(game.shape[player])]
-    return tuple(deviation_sums(scalars.exact(game.payoffs[player]), others, offsets))
 
 
 def deviation_sums(
@@ -362,10 +371,7 @@ def deviation_rows(game: Game, sigma: MixedProfile) -> Iterator[tuple]:
 
 
 def _rows(game: Game, sigma: MixedProfile) -> Iterator[tuple]:
-    supports = [
-        [(s * stride, k) for s, k in enumerate(nums) if k]
-        for nums, stride in zip(sigma.numerators, game.strides)
-    ]
+    supports = _supports(game, sigma)
     players = zip(
         sigma.numerators,
         sigma.denominators,

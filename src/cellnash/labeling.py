@@ -69,14 +69,21 @@ def root_label(game: Game, sigma: MixedProfile) -> PureProfile:
 def grid_labels(game: Game, tris: Sequence[Triangulation]) -> list[int]:
     """``game.flat_index`` of :func:`root_label` at every vertex profile of
     the grid, row-major over the players' vertex lists (the last player's
-    vertex varies fastest).  ``tris`` holds one triangulation per player,
-    of dimension one less than the player's strategy count; any other
-    count or dimension is a :class:`DimensionMismatch`.
+    vertex varies fastest): :func:`label_rows` laid out in order.  ``tris``
+    holds one triangulation per player, of dimension one less than the
+    player's strategy count; any other count or dimension is a
+    :class:`DimensionMismatch`.
+    """
+    rows, keys = label_rows(game, tris)
+    return list(itertools.chain.from_iterable(map(rows.__getitem__, keys)))
 
-    The list is built a row at a time: a row is the last player's vertex
-    axis at one tuple of the other players' vertices, and it is the
-    elementwise sum of one row of ``game.strides[i] * choice`` per player
-    ``i``.
+
+def label_rows(game: Game, tris: Sequence[Triangulation]) -> tuple[list, list[int]]:
+    """:func:`grid_labels` a row at a time, a row being the last player's
+    vertex axis at one tuple of the other players' vertices: the distinct
+    rows in first-seen order, and per such tuple, row-major, its row's
+    index.  Each distinct combination of the players' pick rows is summed
+    once, and distinct combinations give distinct rows.
     """
     _check_grid(game, tris)
     forms: dict[int, _Axis] = {}  # players that share a grid share its form
@@ -85,13 +92,9 @@ def grid_labels(game: Game, tris: Sequence[Triangulation]) -> list[int]:
     parts = [_pick_rows(game, axes, i) for i in range(len(axes) - 1)]
     parts.append(_last_rows(game, axes))
     tables = [table for table, _ in parts]
-    combos = list(zip(*(keys for _, keys in parts)))
-    # an output row is the sum of its players' rows; each distinct one is summed once
-    rows = {
-        combo: list(reduce(_add, map(operator.getitem, tables, combo)))
-        for combo in set(combos)
-    }
-    return list(itertools.chain.from_iterable(map(rows.__getitem__, combos)))
+    found: dict[tuple, int] = {}
+    keys = [found.setdefault(c, len(found)) for c in zip(*(k for _, k in parts))]
+    return [list(reduce(_add, map(operator.getitem, tables, c))) for c in found], keys
 
 
 def _check_grid(game: Game, tris: Sequence[Triangulation]) -> None:

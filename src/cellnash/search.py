@@ -1,16 +1,17 @@
 """Search for completely labeled cells and the resolution-refinement loop.
 
 A product cell is a certificate when the labels of its vertex profiles
-hit every pure strategy combination exactly once.  The scan labels the
-whole grid once.  Per distinct slice of the last player's labels (one
-slice per tuple of the other players' vertices) it ORs each last-player
-cell's label bits once, and keeps a bitset of the cells whose labels do
-not repeat.  A prefix cell (its cells of all players but the last) ANDs
-its rows' bitsets and ORs the masks only at the surviving bits.  A cell
-has one vertex profile per pure combination, so by pigeonhole its mask
-is full exactly when no label repeats.  Cells are walked in
-lexicographic order, surviving bits lowest first, so every downstream
-tie-break reproduces.
+hit every pure strategy combination exactly once.  The scan takes the
+grid's labels from :func:`~cellnash.labeling.label_rows`, once per
+distinct row (a row is the last player's labels at one tuple of the
+other players' vertices).  Per row it ORs each last-player cell's label
+bits once, and keeps a bitset of the cells whose labels do not repeat.
+A prefix cell (its cells of all players but the last) ANDs its rows'
+bitsets and ORs the masks only at the surviving bits.  A cell has one
+vertex profile per pure combination, so by pigeonhole its mask is full
+exactly when no label repeats.  Cells are walked in lexicographic
+order, surviving bits lowest first, so every downstream tie-break
+reproduces.
 
 ``solve`` refines the grid geometrically, keeps the certificate whose
 barycenter has the smallest total gain, and stops once the barycenter's
@@ -33,7 +34,7 @@ from typing import Optional, Sequence
 from . import scalars
 from .errors import NoPreEquilibriumFound, ParameterOutOfRange, ResolutionZero
 from .game import Game, GainTable, MixedProfile, PureProfile, check_eps, gain_table
-from .labeling import grid_labels
+from .labeling import label_rows
 from .labeling import root_label  # noqa: F401  perfbench's tracer test reads search.root_label
 from .scalars import Scalar
 from .subdivision import (
@@ -97,41 +98,36 @@ def scan_cells(
         PureProfile(choices)
         for choices in itertools.product(*(range(count) for count in game.shape))
     ]
-    labels = grid_labels(game, tris)
+    rows, row_of = label_rows(game, tris)
     *prefix, last = tris
-    # a prefix cell's (all players' but the last) vertex tuples as offsets
-    # into the label list: vertex index times the later vertex counts
+    # a prefix cell's (all players' but the last) vertex tuples as row
+    # numbers: vertex index times the later prefix players' vertex counts
     offsets = []
     for j, tri in enumerate(prefix):
-        step = math.prod(len(t.vertices) for t in tris[j + 1 :])
+        step = math.prod(len(t.vertices) for t in prefix[j + 1 :])
         offsets.append([tuple(v * step for v in cell) for cell in tri.cells])
-    # per such offset, one row: each last-player cell's OR of label bits,
-    # and the bitset of cells whose labels do not repeat.  A row depends
-    # only on the offset's label slice, so each distinct slice builds one.
-    width = len(last.vertices)
+    # per distinct row: each last-player cell's OR of label bits, and the
+    # bitset of cells whose labels do not repeat
     size = last.dim + 1  # vertices per last-player cell
     columns = list(zip(*last.cells))
     or_rows = partial(map, operator.or_)  # elementwise, lazily
-    rows: dict[tuple[int, ...], tuple[list[int], int]] = {}
-    masks = {}
-    live = {}
-    for start in range(0, len(labels), width):
-        key = tuple(labels[start : start + width])
-        if key not in rows:
-            bits = [1 << flat for flat in key]
-            row = list(reduce(or_rows, (map(bits.__getitem__, c) for c in columns)))
-            alive = sum(1 << c for c, mask in enumerate(row) if mask.bit_count() == size)
-            rows[key] = row, alive
-        masks[start], live[start] = rows[key]
+    masks = []
+    live = []
+    for row in rows:
+        bits = [1 << flat for flat in row]
+        mask = list(reduce(or_rows, (map(bits.__getitem__, c) for c in columns)))
+        masks.append(mask)
+        live.append(sum(1 << c for c, m in enumerate(mask) if m.bit_count() == size))
     full = (1 << len(pure)) - 1
 
     certs: list[PreEquilibriumCert] = []
     for factor in itertools.product(*(range(len(t.cells)) for t in prefix)):
-        keys = list(map(sum, itertools.product(*map(list.__getitem__, offsets, factor))))
-        survivors = reduce(operator.and_, map(live.__getitem__, keys))
+        tuples = map(sum, itertools.product(*map(list.__getitem__, offsets, factor)))
+        ids = list(map(row_of.__getitem__, tuples))
+        survivors = reduce(operator.and_, map(live.__getitem__, ids))
         if not survivors:
             continue
-        picked = list(map(masks.__getitem__, keys))
+        picked = list(map(masks.__getitem__, ids))
         while survivors:  # lowest bit first: lexicographic cell order
             low = survivors & -survivors
             survivors ^= low
@@ -141,7 +137,7 @@ def scan_cells(
             certs.append(
                 PreEquilibriumCert(
                     cell=build_product_cell(tris, factor + (c,)),
-                    labels=tuple(pure[labels[k + v]] for k in keys for v in last.cells[c]),
+                    labels=tuple(pure[rows[r][v]] for r in ids for v in last.cells[c]),
                     resolutions=resolutions,
                 )
             )

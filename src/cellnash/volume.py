@@ -17,6 +17,7 @@ them combinatorially.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -35,11 +36,11 @@ Poly = tuple[Fraction, ...]  # coefficients, constant term first
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
-    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=Fraction(0)))
+    return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
 
 
 def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
@@ -65,21 +66,47 @@ def _poly_trim(a: Poly) -> Poly:
     return a[:end]
 
 
+def _poly_divexact(a: Poly, b: Poly) -> Poly:
+    """``a / b`` by long division, for integer polynomials where ``b`` is
+    nonzero and divides ``a`` in Z[t], so every quotient digit is exact."""
+    b = _poly_trim(b)
+    rest = list(a)
+    out = [0] * max(len(a) - len(b) + 1, 1)
+    for k in reversed(range(len(a) - len(b) + 1)):
+        q = out[k] = rest[k + len(b) - 1] // b[-1]
+        for j, c in enumerate(b):
+            rest[k + j] -= q * c
+    return _poly_trim(tuple(out))
+
+
 def _poly_det(matrix: list[list[Poly]]) -> Poly:
-    """Determinant with polynomial entries, by first-column expansion."""
+    """Determinant with polynomial entries, by fraction-free (Bareiss)
+    elimination over the entries' integer numerators: each step's division
+    by the previous pivot is exact in Z[t], and a zero pivot swaps in a
+    lower row with a nonzero entry."""
     n = len(matrix)
-    if n == 0:
-        return (Fraction(1),)
-    if n == 1:
-        return matrix[0][0]
-    total: Poly = (Fraction(0),)
-    for r in range(n):
-        minor = [row[1:] for i, row in enumerate(matrix) if i != r]
-        term = _poly_mul(matrix[r][0], _poly_det(minor))
-        if r % 2:
-            term = _poly_scale(term, Fraction(-1))
-        total = _poly_add(total, term)
-    return total
+    den = math.lcm(*(c.denominator for row in matrix for e in row for c in e))
+    rows = [
+        [[c.numerator * (den // c.denominator) for c in entry] for entry in row]
+        for row in matrix
+    ]
+    sign, prev = 1, (1,)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if any(rows[r][k])), None)
+        if pivot is None:
+            return (Fraction(0),)
+        if pivot != k:
+            rows[k], rows[pivot] = rows[pivot], rows[k]
+            sign = -sign
+        p = rows[k][k]
+        for row in rows[k + 1 :]:
+            for j in range(k + 1, n):
+                minor = _poly_add(
+                    _poly_mul(row[j], p), _poly_scale(_poly_mul(row[k], rows[k][j]), -1)
+                )
+                row[j] = _poly_divexact(minor, prev) if k else minor
+        prev = p
+    return tuple(Fraction(c, sign * den**n) for c in prev)
 
 
 def _check_grid(game: Game, tri: Triangulation) -> None:

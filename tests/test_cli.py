@@ -129,7 +129,7 @@ def test_volume_check_constant(capsys, tmp_path):
 def test_volume_check_builds_its_grid_once(capsys, monkeypatch, tmp_path):
     triangulations = count_calls(monkeypatch, subdivision, "triangulate")
     root_labels = count_calls(monkeypatch, labeling, "root_label")
-    grid_labelings = count_calls(monkeypatch, labeling, "grid_labels")
+    grid_labelings = count_calls(monkeypatch, labeling, "label_rows")
     csv_path = tmp_path / "samples.csv"
     code, out = run(
         capsys, "volume-check", ONE, "--m", "8", "--samples-out", str(csv_path)

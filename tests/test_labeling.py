@@ -23,6 +23,7 @@ from cellnash import (
     root_label,
     root_motion,
 )
+from cellnash.labeling import label_rows
 
 from conftest import (
     as_float_game,
@@ -61,10 +62,14 @@ def test_grid_labels_match_root_label_everywhere(payoffs):
         if payoffs == "float":
             game = as_float_game(game)
         tris = player_triangulations(game, m)
-        assert grid_labels(game, tris) == reference_grid_labels(game, tris), (
-            game.name,
-            m,
-        )
+        reference = reference_grid_labels(game, tris)
+        assert grid_labels(game, tris) == reference, (game.name, m)
+        # the row form: distinct rows, indexed in first-seen order
+        rows, keys = label_rows(game, tris)
+        assert len(set(map(tuple, rows))) == len(rows), (game.name, m)
+        assert list(dict.fromkeys(keys)) == list(range(len(rows))), (game.name, m)
+        flat = [label for k in keys for label in rows[k]]
+        assert flat == reference, (game.name, m)
 
 
 def seeded_games(shape, count=3):

@@ -128,7 +128,7 @@ MASK_WALK_CASES = {
     "2x2x2-m8": ((2, 2, 2), 8, 7),
     "volume-check-2": ((2,), 8, 0),
     "volume-check-3": ((3,), 4, 0),
-    # the certificate's row slice recurs at four other vertex tuples, so
+    # the certificate's label row recurs at four other vertex tuples, so
     # the walk reads a row that several tuples share
     "4x4-m4-shared-row": ((4, 4), 4, 2),
     "5x5-m3": ((5, 5), 3, 5),
@@ -168,12 +168,10 @@ def test_shared_row_case_reads_a_shared_row():
     for _ in range(draw + 1):
         game = random_game(rng, shape)
     tris = player_triangulations(game, m)
-    labels = grid_labels(game, tris)
-    width = len(tris[1].vertices)
-    slices = [tuple(labels[s : s + width]) for s in range(0, len(labels), width)]
+    _, keys = labeling.label_rows(game, tris)
     (cert,) = find_pre_equilibria(game, m)
     tuples = tris[0].cells[cert.cell.factor[0]]
-    assert max(slices.count(slices[v]) for v in tuples) >= 2
+    assert max(keys.count(keys[v]) for v in tuples) >= 2
 
 
 @pytest.mark.parametrize("shape, m", [((2, 2), 4), ((3, 3), 3), ((2, 3, 2), 2)])
@@ -191,7 +189,16 @@ def test_walk_keeps_cell_order_within_a_prefix_cell(shape, m, monkeypatch):
         if rng.random() < 0.05:
             choices = [rng.randrange(len(v)) for v in key]
         labels.append(game.flat_index(choices))
-    monkeypatch.setattr(search_module, "grid_labels", lambda *args: labels)
+    # the labeler's row form: each distinct row once, so rows stay shared
+    width = len(tris[-1].vertices)
+    found = {}
+    keys = [
+        found.setdefault(tuple(labels[s : s + width]), len(found))
+        for s in range(0, len(labels), width)
+    ]
+    rows = list(map(list, found))
+    assert len(rows) < len(keys)
+    monkeypatch.setattr(search_module, "label_rows", lambda *args: (rows, keys))
     expected = []
     counts = [len(t.vertices) for t in tris]
     for factor in itertools.product(*(range(len(t.cells)) for t in tris)):

@@ -1,5 +1,8 @@
 """Signed-volume bookkeeping for the single-player label motion."""
 
+import json
+import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,13 +11,17 @@ from cellnash import (
     MixedProfile,
     errors,
     find_pre_equilibria,
+    grid_labels,
     moved_cell_volume,
     root_label,
+    serialize_game,
     total_volume_polynomial,
     triangulate,
+    volume,
 )
+from cellnash.cli import EXIT_OK, run_cli
 
-from conftest import make_game, one_player_games
+from conftest import FIXTURE_SEED, make_game, one_player_games, random_game
 
 
 def poly_eval(coeffs, t):
@@ -174,3 +181,75 @@ def test_four_and_one_strategy_games(payoffs, m):
             assert poly_eval(poly, Fraction(t)) == moved_cell_volume(game, tri, idx, t)
     certified = {cert.cell.factor[0] for cert in find_pre_equilibria(game, m)}
     assert set(result.nonzero_cells_at_one) <= certified
+
+
+def reference_poly_det(matrix):
+    # the first-column expansion the elimination replaced: (n - 1)!
+    # products per determinant, kept as the reference it must match
+    n = len(matrix)
+    if n == 0:
+        return (Fraction(1),)
+    if n == 1:
+        return matrix[0][0]
+    total = (Fraction(0),)
+    for r in range(n):
+        minor = [row[1:] for i, row in enumerate(matrix) if i != r]
+        term = volume._poly_mul(matrix[r][0], reference_poly_det(minor))
+        if r % 2:
+            term = volume._poly_scale(term, Fraction(-1))
+        total = volume._poly_add(total, term)
+    return total
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_poly_det_matches_first_column_expansion(n):
+    # degree-1 entries over small fractions; zeroed entries force row swaps
+    # and, with a zeroed column, a singular matrix
+    rng = random.Random(n)
+
+    def entry():
+        return tuple(Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in "ab")
+
+    for trial in range(20):
+        matrix = [[entry() for _ in range(n)] for _ in range(n)]
+        for row in matrix:
+            for j in range(n):
+                if rng.random() < 0.3:
+                    row[j] = (Fraction(0), Fraction(0))
+        if n and trial % 5 == 0:
+            for row in matrix:
+                row[rng.randrange(n)] = (Fraction(0),)
+        got = volume._poly_det(matrix)
+        assert all(type(c) is Fraction for c in got)
+        expected = volume._poly_trim(reference_poly_det(matrix))
+        assert volume._poly_trim(got) == expected, (n, trial)
+
+
+@pytest.mark.parametrize("strategies, step", [(5, 1), (6, 1), (7, 6)])
+def test_volume_polynomials_match_first_column_expansion(strategies, step, monkeypatch):
+    # every cell of the m=2 grid at 5 and 6 strategies, every sixth at 7
+    rng = random.Random(FIXTURE_SEED + strategies)
+    game = random_game(rng, (strategies,))
+    tri = triangulate(strategies - 1, 2)
+    labels = grid_labels(game, (tri,))
+    cells = tri.cells[::step]
+    polys = [volume._volume_polynomial(tri, c, [labels[v] for v in c]) for c in cells]
+    assert total_volume_polynomial(game, tri).total == (1,)
+    monkeypatch.setattr(volume, "_poly_det", reference_poly_det)
+    for cell, poly in zip(cells, polys):
+        assert poly == volume._volume_polynomial(tri, cell, [labels[v] for v in cell])
+
+
+def test_nine_strategy_volume_check_finishes_in_seconds(capsys, tmp_path):
+    # 256 cells of 8x8 determinants; the first-column expansion took more
+    # than 300 s at this size
+    game = random_game(random.Random(FIXTURE_SEED), (9,), name="nine")
+    path = tmp_path / "nine.json"
+    path.write_text(serialize_game(game))
+    start = time.perf_counter()
+    code = run_cli(["volume-check", str(path), "--m", "2"])
+    elapsed = time.perf_counter() - start
+    data = json.loads(capsys.readouterr().out)
+    assert code == EXIT_OK
+    assert (data["cells"], data["constant"], data["g1"]) == (256, True, "1")
+    assert elapsed < 60
