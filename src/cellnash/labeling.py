@@ -34,7 +34,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch, ParameterOutOfRange
@@ -48,7 +48,7 @@ from .game import (
 )
 from . import scalars
 from .scalars import Scalar
-from .subdivision import Triangulation
+from .subdivision import GRID_MEMO_SIZE, Triangulation
 
 
 def root_label(game: Game, sigma: MixedProfile) -> PureProfile:
@@ -86,8 +86,7 @@ def label_rows(game: Game, tris: Sequence[Triangulation]) -> tuple[list, list[in
     once, and distinct combinations give distinct rows.
     """
     _check_grid(game, tris)
-    forms: dict[int, _Axis] = {}  # players that share a grid share its form
-    axes = [forms.get(id(t)) or forms.setdefault(id(t), _axis(t)) for t in tris]
+    axes = list(map(_axis, tris))
     # per player: a table of distinct rows, and each output row's key in it
     parts = [_pick_rows(game, axes, i) for i in range(len(axes) - 1)]
     parts.append(_last_rows(game, axes))
@@ -110,28 +109,27 @@ def _check_grid(game: Game, tris: Sequence[Triangulation]) -> None:
 
 
 class _Axis(NamedTuple):
-    """One player's grid in integers: per vertex its weights (numerators
-    over the grid's common denominator) and its support's id; the
-    supports in id order; and ``columns[s]``, every vertex's weight on
-    strategy ``s``."""
+    """One player's grid in integers: per vertex its weights (the grid's
+    ``numerators``) and its support's id; the supports in id order; and
+    ``columns[s]``, every vertex's weight on strategy ``s``.  Made once
+    per grid and shared, so every part is a tuple."""
 
-    weights: list
-    ids: list[int]
-    supports: list[tuple[int, ...]]
-    columns: list[tuple[int, ...]]
+    weights: tuple[tuple[int, ...], ...]
+    ids: tuple[int, ...]
+    supports: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[int, ...], ...]
 
 
+@lru_cache(maxsize=GRID_MEMO_SIZE)  # a grid hashes by (dim, resolution)
 def _axis(tri: Triangulation) -> _Axis:
-    size = tri.dim + 1
-    nums, _ = scalars.as_integers(list(itertools.chain.from_iterable(tri.vertices)))
-    weights = [nums[k : k + size] for k in range(0, len(nums), size)]
-    strategies = range(size)
+    weights = tri.numerators
+    strategies = range(tri.dim + 1)
     found: dict[tuple[int, ...], int] = {}
-    ids = [
+    ids = tuple(
         found.setdefault(tuple(itertools.compress(strategies, w)), len(found))
         for w in weights
-    ]
-    return _Axis(weights, ids, list(found), list(zip(*weights)))
+    )
+    return _Axis(weights, ids, tuple(found), tuple(zip(*weights)))
 
 
 def _pick_rows(game: Game, axes: Sequence[_Axis], i: int) -> tuple[list, list[int]]:

@@ -105,7 +105,10 @@ def scan_cells(
     offsets = []
     for j, tri in enumerate(prefix):
         step = math.prod(len(t.vertices) for t in prefix[j + 1 :])
-        offsets.append([tuple(v * step for v in cell) for cell in tri.cells])
+        if step == 1:  # the last prefix player: a vertex index is its number
+            offsets.append(tri.cells)
+        else:
+            offsets.append([tuple(v * step for v in cell) for cell in tri.cells])
     # per distinct row: each last-player cell's OR of label bits, and the
     # bitset of cells whose labels do not repeat
     size = last.dim + 1  # vertices per last-player cell
@@ -122,7 +125,7 @@ def scan_cells(
 
     certs: list[PreEquilibriumCert] = []
     for factor in itertools.product(*(range(len(t.cells)) for t in prefix)):
-        tuples = map(sum, itertools.product(*map(list.__getitem__, offsets, factor)))
+        tuples = map(sum, itertools.product(*map(operator.getitem, offsets, factor)))
         ids = list(map(row_of.__getitem__, tuples))
         survivors = reduce(operator.and_, map(live.__getitem__, ids))
         if not survivors:

@@ -9,6 +9,11 @@ coordinate goes negative visits the vertices of one cell.  That yields
 ``m**d`` simplices on ``C(m+d, d)`` lattice vertices, every cell with the
 same volume, and shared faces matching exactly — no hanging nodes.
 
+A grid depends only on its dimension and resolution, never on payoffs,
+so each one is built once per process and shared: :func:`triangulate`
+keeps the last ``GRID_MEMO_SIZE`` grids it built, each carrying the
+integer numerators the labeler sums.
+
 A product cell combines one cell per player; its vertex profiles are all
 combinations of the factor cells' vertices, which is exactly one profile
 per pure strategy combination.
@@ -20,8 +25,9 @@ import itertools
 import math
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -35,6 +41,7 @@ from .game import Game, MixedProfile
 from .scalars import Scalar
 
 DEFAULT_BUDGET = 10_000_000
+GRID_MEMO_SIZE = 32  # holds a doubling ladder of both 1-D and 2-D grids
 
 
 def default_budget() -> int:
@@ -65,13 +72,20 @@ class Triangulation:
 
     ``vertices`` are exact barycentric points in lexicographic order of
     their ``k/m`` numerators; each cell is an ascending tuple of vertex
-    indices, and the cell list is sorted.
+    indices, and the cell list is sorted.  ``numerators`` holds each
+    vertex's ``k`` over the common denominator ``m``; it is derived from
+    ``vertices``, so ``==``, ``hash`` and ``repr`` leave it out.
     """
 
     dim: int  # simplex dimension: strategy count minus one
     resolution: int
     vertices: tuple[tuple[Scalar, ...], ...]
     cells: tuple[tuple[int, ...], ...]
+    numerators: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+
+    def __hash__(self) -> int:
+        # equal grids share these; hashing the vertices would walk the grid
+        return hash((self.dim, self.resolution))
 
 
 def _lattice_vertices(dim: int, resolution: int) -> list[tuple[int, ...]]:
@@ -95,17 +109,30 @@ def _coordinate(k: int, m: int) -> Scalar:
 
 
 def triangulate(dim: int, resolution: int) -> Triangulation:
-    """Build the grid for a ``dim``-dimensional strategy simplex.
+    """The grid for a ``dim``-dimensional strategy simplex, built once per
+    process while it stays among the last ``GRID_MEMO_SIZE`` grids built.
 
     ``dim`` or ``resolution`` other than an ``int`` (a ``bool`` too) is a
-    :class:`ParameterOutOfRange`."""
+    :class:`ParameterOutOfRange`.  A grid with more than
+    :func:`default_budget` lattice vertices ``C(m+dim, dim)`` or cells
+    ``m**dim`` is refused with :class:`BudgetExceeded` before it is built
+    or looked up, ``needed`` being the larger count.  Every check runs on
+    every call."""
     check_int(dim, "dimension")
     check_int(resolution, "resolution")
     if dim < 0:
         raise ResolutionZero(f"dimension {dim} is negative")
     if resolution < 1:
         raise ResolutionZero(f"resolution {resolution} must be >= 1")
-    m = resolution
+    budget = default_budget()
+    needed = max(math.comb(resolution + dim, dim), resolution**dim)
+    if needed > budget:
+        raise BudgetExceeded(needed, budget)
+    return _build(dim, resolution)
+
+
+@lru_cache(maxsize=GRID_MEMO_SIZE)
+def _build(dim: int, m: int) -> Triangulation:
     numerators = _lattice_vertices(dim, m)
     index = {v: i for i, v in enumerate(numerators)}
     vertices = tuple(
@@ -130,7 +157,8 @@ def triangulate(dim: int, resolution: int) -> Triangulation:
     expected = m**dim
     assert len(cells) == expected, f"expected {expected} cells, built {len(cells)}"
     return Triangulation(
-        dim=dim, resolution=m, vertices=vertices, cells=tuple(cells)
+        dim=dim, resolution=m, vertices=vertices, cells=tuple(cells),
+        numerators=tuple(numerators),
     )
 
 
@@ -182,13 +210,14 @@ def player_triangulations(
 ) -> tuple[Triangulation, ...]:
     """One triangulation per player; a single int applies to everyone.
 
-    Every grid in the package is built here, once per distinct (strategy
-    count, resolution) pair: players that share the pair share the
-    (frozen) :class:`Triangulation` object.  A resolution that is not an
-    ``int``, ``bool`` included, is a :class:`ParameterOutOfRange`.  A grid
-    whose vertex profile count or product cell count exceeds ``budget``
-    (``None`` means :func:`default_budget`; a budget that is not an
-    ``int``, or is below 1, is :class:`ParameterOutOfRange`) is refused with
+    Every grid in the package comes from here, through :func:`triangulate`,
+    so it is built once per process (while it stays in that memo) and
+    shared: by players with the same strategy count and resolution, and by
+    later calls.  A resolution that is not an ``int``, ``bool`` included,
+    is a :class:`ParameterOutOfRange`.  A grid whose vertex profile count
+    or product cell count exceeds ``budget`` (``None`` means
+    :func:`default_budget`; a budget that is not an ``int``, or is below 1,
+    is :class:`ParameterOutOfRange`) is refused with
     :class:`BudgetExceeded` before any triangulation exists:
     player ``i`` with ``k`` strategies has ``C(m_i + k - 1, k - 1)``
     lattice vertices and ``m_i ** (k - 1)`` cells, and the profiles and

@@ -26,7 +26,7 @@ from cellnash import (
     serialize_game,
     solve,
 )
-from cellnash import cli
+from cellnash import cli, report_json, subdivision
 from cellnash import search as search_module
 from cellnash.search import (
     PLAYER_UP_EVERYWHERE,
@@ -44,6 +44,7 @@ from conftest import (
     FIXTURE_SEED,
     as_float_game,
     count_calls,
+    fixture_suite,
     label_corpus,
     make_game,
     mismatched_grids,
@@ -139,10 +140,7 @@ MASK_WALK_CASES = {
 def test_mask_walk_matches_reference_scan(case, monkeypatch, tmp_path, capsys):
     # one-strategy players (one cell of one vertex), an empty prefix, and
     # the one-player scan that volume-check runs on its own triangulation
-    shape, m, draw = MASK_WALK_CASES[case]
-    rng = random.Random(FIXTURE_SEED)
-    for _ in range(draw + 1):
-        game = random_game(rng, shape)
+    game, m = _mask_walk_game(case)
     expected = reference_scan(game, m)
     assert expected
     if case.startswith("volume-check"):
@@ -162,11 +160,47 @@ def test_mask_walk_matches_reference_scan(case, monkeypatch, tmp_path, capsys):
         assert find_pre_equilibria(game, m) == expected
 
 
-def test_shared_row_case_reads_a_shared_row():
-    shape, m, draw = MASK_WALK_CASES["4x4-m4-shared-row"]
+def _mask_walk_game(case):
+    shape, m, draw = MASK_WALK_CASES[case]
     rng = random.Random(FIXTURE_SEED)
     for _ in range(draw + 1):
         game = random_game(rng, shape)
+    return game, m
+
+
+def test_warm_grid_memo_changes_nothing():
+    def solved(game):
+        try:
+            return report_json(solve(game, Fraction(1, 10)), game)
+        except errors.NoPreEquilibriumFound as error:
+            return str(error)
+
+    def scanned(case):
+        game, m = _mask_walk_game(case)
+        return scan_cells(game, player_triangulations(game, m))
+
+    jobs = [(solved, game) for game in fixture_suite()]
+    jobs += [(scanned, case) for case in sorted(MASK_WALK_CASES)]
+    cold = []
+    for run, arg in jobs:
+        subdivision._build.cache_clear()
+        labeling._axis.cache_clear()
+        cold.append(run(arg))
+    # warm: grids kept from the jobs before, other shapes' grids in between
+    rng = random.Random(FIXTURE_SEED)
+    others = [random_game(rng, shape) for shape in ((3, 2), (2, 3, 2), (4,), (1, 3))]
+    hits = subdivision._build.cache_info().hits, labeling._axis.cache_info().hits
+    warm = []
+    for k, (run, arg) in enumerate(jobs):
+        find_pre_equilibria(others[k % len(others)], 1 + k % 5)
+        warm.append(run(arg))
+    assert warm == cold
+    assert subdivision._build.cache_info().hits > hits[0] + len(jobs)
+    assert labeling._axis.cache_info().hits > hits[1] + len(jobs)
+
+
+def test_shared_row_case_reads_a_shared_row():
+    game, m = _mask_walk_game("4x4-m4-shared-row")
     tris = player_triangulations(game, m)
     _, keys = labeling.label_rows(game, tris)
     (cert,) = find_pre_equilibria(game, m)

@@ -1,5 +1,6 @@
 """Simplex grids: vertex/cell counts, geometry, and product cells."""
 
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -13,12 +14,13 @@ from cellnash import (
     errors,
     find_pre_equilibria,
     grid_min_regret,
+    labeling,
     player_triangulations,
     solve,
     subdivision,
     triangulate,
 )
-from cellnash.subdivision import vertex_profile_count
+from cellnash.subdivision import GRID_MEMO_SIZE, Triangulation, vertex_profile_count
 
 from conftest import MATCHING_PENNIES, make_game
 from grid_reference import locate_point, product_cells, simplex_cell_volume
@@ -357,3 +359,96 @@ def test_build_product_cell_refuses_bad_factors():
         with pytest.raises(errors.DimensionMismatch):
             build_product_cell(tris, factor)
     assert build_product_cell(tris, (1, 0)).factor == (1, 0)
+
+
+@pytest.mark.parametrize("dim", range(4))
+def test_memo_returns_the_uncached_grid_and_keeps_it(dim):
+    for m in range(1, 7):
+        tri = triangulate(dim, m)
+        fresh = subdivision._build.__wrapped__(dim, m)
+        assert fresh is not tri
+        for f in dataclasses.fields(Triangulation):
+            assert getattr(tri, f.name) == getattr(fresh, f.name), (dim, m, f.name)
+        # each vertex is its numerators over m
+        assert [tuple(Fraction(k, m) for k in v) for v in tri.numerators] == list(
+            tri.vertices
+        )
+        assert triangulate(dim, m) is tri
+        assert labeling._axis(tri) is labeling._axis(triangulate(dim, m))
+
+
+def test_equality_hash_and_repr_ignore_numerators():
+    tri = triangulate(2, 3)
+    bare = dataclasses.replace(tri, numerators=())
+    assert bare == tri
+    assert hash(bare) == hash(tri)
+    assert repr(bare) == repr(tri)
+    assert "numerators" not in repr(tri)
+    assert tri != triangulate(2, 4)
+    assert tri != dataclasses.replace(tri, cells=tri.cells[1:])
+
+
+@pytest.mark.parametrize(
+    "dim, resolution, error",
+    [
+        (True, 2, errors.ParameterOutOfRange),
+        (1, True, errors.ParameterOutOfRange),
+        (1.0, 2, errors.ParameterOutOfRange),
+        (1, 2.0, errors.ParameterOutOfRange),
+        ("a", 2, errors.ParameterOutOfRange),
+        (1, 0, errors.ResolutionZero),
+        (1, -1, errors.ResolutionZero),
+        (-1, 2, errors.ResolutionZero),
+        (1, 11, errors.BudgetExceeded),
+    ],
+    ids=["dim-true", "m-true", "dim-float", "m-float", "dim-str", "m-0", "m-minus-1",
+         "dim-minus-1", "over-budget"],
+)
+def test_bad_grid_arguments_raise_every_call_and_never_enter_the_memo(
+    dim, resolution, error, monkeypatch
+):
+    subdivision._build.cache_clear()
+    cached = triangulate(1, 2)
+    triangulate(1, 11)  # cached while the budget allows it
+    monkeypatch.setenv("NASH_BUDGET", "11")  # C(12, 1) = 12 vertices at m=11
+    for _ in range(2):
+        with pytest.raises(error):
+            triangulate(dim, resolution)
+    assert subdivision._build.cache_info().currsize == 2
+    assert triangulate(1, 2) is cached  # 1 == True, yet only 1 finds it
+
+
+def test_budget_refuses_a_grid_before_the_builder(monkeypatch):
+    built = []
+    monkeypatch.setattr(subdivision, "_build", lambda *args: built.append(args))
+    monkeypatch.delenv("NASH_BUDGET", raising=False)
+    for dim, m, needed in ((1, 10**30, 10**30 + 1), (40, 2, 2**40)):
+        with pytest.raises(errors.BudgetExceeded) as info:
+            triangulate(dim, m)
+        assert (info.value.needed, info.value.budget) == (needed, 10_000_000)
+    monkeypatch.setenv("NASH_BUDGET", "10")
+    with pytest.raises(errors.BudgetExceeded) as info:
+        triangulate(1, 10)
+    assert (info.value.needed, info.value.budget) == (11, 10)
+    triangulate(1, 9)  # C(10, 1) = 10 vertices, 9 cells: allowed
+    assert built == [(1, 9)]
+
+
+def test_memo_holds_at_most_its_size():
+    subdivision._build.cache_clear()
+    labeling._axis.cache_clear()
+    game = make_game((2,), ((0, 1),))
+    for m in range(1, GRID_MEMO_SIZE + 9):
+        labeling.label_rows(game, player_triangulations(game, m))
+    for memo in (subdivision._build, labeling._axis):
+        info = memo.cache_info()
+        assert info.maxsize == GRID_MEMO_SIZE
+        assert info.currsize == GRID_MEMO_SIZE
+    # the newest grids stay; the oldest was dropped and is built again
+    misses = subdivision._build.cache_info().misses
+    newest = triangulate(1, GRID_MEMO_SIZE + 8)
+    assert triangulate(1, GRID_MEMO_SIZE + 8) is newest
+    assert subdivision._build.cache_info().misses == misses
+    assert triangulate(1, 1) == subdivision._build.__wrapped__(1, 1)
+    assert subdivision._build.cache_info().misses == misses + 1
+    assert subdivision._build.cache_info().currsize == GRID_MEMO_SIZE
