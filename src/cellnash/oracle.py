@@ -4,28 +4,30 @@ Nothing here reuses the labeling or search machinery — results come from
 direct payoff comparisons and small exact linear systems, so they can
 vouch for the solver's output rather than echo it.
 
-The grid scan makes its integer forms once per scan: each vertex's
-lattice numerators, and the payoff tensors the game keeps.  It sums one
-deviation vector per player and tuple of the other players' vertices, so
-a lattice profile costs one dot product per player, and it builds a gain
-table only for the profile it returns.
+The grid scan sums on integer forms made once: each vertex's lattice
+numerators, which its grid keeps, and the payoff tensors the game
+keeps.  It sums one deviation vector per player and tuple of the other
+players' vertices, so a lattice profile costs one dot product per
+player, and it builds a gain table only for the profile it returns.
 
 Support enumeration settles every support pair with a single strategy on
-either side by pure best replies, computed once per game; it solves
-indifference systems only for pairs with two strategies or more on both
-sides, and drops each side's candidates that would leave some strategy
-of the opponent's support short of a best reply before solving the other
-side.  Its ``degenerate`` flag is set when a singular system yields an
-equilibrium or a pure equilibrium has a tie among either player's best
-replies.
+either side by pure best replies, computed once per game.  It eliminates
+each other pair's indifference systems once, on the integer payoffs, and
+drops a side's candidates that have a negative weight or leave part of
+the opponent's support short of a best reply (summed on integer weights)
+before solving the other side; only kept mixtures become Fractions.  Its
+``degenerate`` flag is set when a singular system yields an equilibrium
+or a pure equilibrium has a tie among either player's best replies.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import scalars
@@ -38,7 +40,7 @@ from .game import (
     deviation_sums,
     gain_table,
 )
-from .linalg import solve_affine
+from .linalg import affine_solution, eliminate
 from .scalars import Scalar
 from .subdivision import player_triangulations
 
@@ -59,13 +61,12 @@ def grid_min_regret(
     profile (lexicographic vertex order) with the smallest max regret.
 
     Player ``i``'s deviation payoffs depend only on the other players'
-    vertices, so they are summed once per player and tuple of the other
-    players' vertices, on integers: the player's integer payoffs, and
-    each vertex's weights as its lattice numerators over the resolution.
-    A profile's regret for player ``i`` is then one dot product, and all
+    vertices, so they are summed once per player and tuple of those, on
+    the player's integer payoffs and each vertex's lattice numerators.  A
+    profile's regret for player ``i`` is then one dot product, and all
     regrets share one positive scale (the lcm of the payoff scales times
-    every resolution), so the profiles' max regrets compare as integers.
-    Only the winner's gain table is built, for the reported regret.
+    every resolution), so max regrets compare as integers.  Only the
+    winner's gain table is built, for the reported regret.
     """
     tris = player_triangulations(game, resolutions, budget)
     counts = [len(t.vertices) for t in tris]
@@ -75,8 +76,7 @@ def grid_min_regret(
     axes = []
     for tri, step, stride in zip(tris, steps, game.strides):
         axis = []
-        for v, vertex in enumerate(tri.vertices):
-            nums = [int(p * tri.resolution) for p in vertex]
+        for v, nums in enumerate(tri.numerators):
             pairs = [(s * stride, k) for s, k in enumerate(nums) if k]
             axis.append((v * step, nums, pairs))
         axes.append(axis)
@@ -123,119 +123,109 @@ class SupportEnumerationResult:
     degenerate: bool
 
 
-def _pure_payoff_matrices(game: Game) -> tuple[list[list[int]], list[list[int]]]:
-    # each player's payoffs scaled to integers: a positive scaling keeps
-    # every indifference system's solutions and every best response
-    rows, cols = game.shape
-    u1, u2 = game.integer_payoffs
-    return (
-        [[u1[a * cols + b] for b in range(cols)] for a in range(rows)],
-        [[u2[a * cols + b] for b in range(cols)] for a in range(rows)],
+@functools.lru_cache(maxsize=16)
+def _supports(count: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every support of two strategies or more out of ``count``, with its bitmask."""
+    return tuple(
+        (support, sum(1 << s for s in support))
+        for size in range(2, count + 1)
+        for support in itertools.combinations(range(count), size)
     )
-
-
-def _embed(weights: dict[int, Scalar], count: int) -> tuple[Scalar, ...]:
-    return tuple(weights.get(s, 0) for s in range(count))
-
-
-def _mix_candidates(
-    payoff_rows: list[list[Scalar]], own: tuple[int, ...], other: tuple[int, ...]
-) -> tuple[list[list[Scalar]], bool] | None:
-    """Mixtures over ``other`` equalizing ``payoff_rows`` across ``own``.
-
-    Both supports have two strategies or more.  Unknowns are the mixture
-    weights plus the common payoff value.  The unique solution is returned
-    when the system is regular; a singular but consistent system yields
-    the endpoints of its solution family inside the probability box (or
-    the particular solution for families of dimension two and up) plus a
-    degeneracy marker.  Returns None when inconsistent.
-    """
-    k = len(other)
-    matrix: list[list[Scalar]] = []
-    rhs: list[Scalar] = []
-    for s in own:
-        matrix.append([payoff_rows[s][b] for b in other] + [-1])
-        rhs.append(0)
-    matrix.append([1] * k + [0])
-    rhs.append(1)
-    solved = solve_affine(matrix, rhs)
-    if solved is None:
-        return None
-    particular, basis = solved
-    if not basis:
-        return [particular[:k]], False
-    if len(basis) == 1:
-        # one-parameter family: walk to both ends of the probability box
-        direction = basis[0][:k]
-        point = particular[:k]
-        lo, hi = None, None
-        for p, d in zip(point, direction):
-            if d == 0:
-                if p < 0:
-                    return None
-                continue
-            bound = -p / d
-            if d > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-        if lo is None or hi is None or lo > hi:
-            return None
-        ends = {tuple(p + lam * d for p, d in zip(point, direction)) for lam in (lo, hi)}
-        return [list(end) for end in sorted(ends)], True
-    return [particular[:k]], True
 
 
 def _best_replies(values: Sequence[int]) -> int:
     """Bitmask of the indices where ``values`` is largest."""
     top = max(values)
-    return sum(1 << r for r, v in enumerate(values) if v == top)
+    mask = 0
+    for r, v in enumerate(values):
+        if v == top:
+            mask |= 1 << r
+    return mask
 
 
-def _mask(support: tuple[int, ...]) -> int:
-    return sum(1 << s for s in support)
+@functools.lru_cache(maxsize=256)
+def _unit(s: int, count: int) -> tuple[int, ...]:
+    return tuple(int(r == s) for r in range(count))
 
 
-def _candidates(
-    raws: list[list[Scalar]],
-    support: tuple[int, ...],
-    count: int,
-    payoffs: list[list[int]],
+def _mixtures(
+    payoffs: Sequence[Sequence[int]],
+    own: tuple[int, ...],
     replies: int,
-) -> list[tuple[Scalar, ...]]:
-    """The valid mixtures among ``raws``, embedded, against which every
-    reply in the bitmask ``replies`` is a best reply.
+    other: tuple[int, ...],
+    count: int,
+) -> tuple[list[tuple[Scalar, ...]], bool]:
+    """Mixtures over ``other`` that equalize ``payoffs`` across ``own``
+    and leave every reply in the bitmask ``replies`` a best reply, each
+    embedded in ``count`` strategies, and whether the system is singular.
 
     ``payoffs[r][s]`` is the replying player's payoff for reply ``r``
-    against the mixing player's strategy ``s``; the sums run over integer
-    weights, a positive multiple of the mixture, so the argmax is exact.
+    against the mixing player's strategy ``s``.  Unknowns are the weights
+    plus the common payoff.  A regular system's solution is read off the
+    reduced rows as integer weights over their lcm, a positive multiple of
+    the mixture, so the argmax is exact.  A singular consistent one gives
+    the ends of its one-parameter family inside the probability box, or
+    its particular solution when the family is larger.
     """
-    out = []
-    for raw in raws:
-        if any(v < 0 for v in raw):
+    k = len(other)
+    aug = [[payoffs[s][b] for b in other] + [-1, 0] for s in own]
+    aug.append([1] * k + [0, 1])
+    pivots = eliminate(aug)
+    if pivots is None:
+        return [], False
+    singular = len(pivots) <= k
+    if not singular:
+        # row r reads weight r as aug[r][-1] over its positive pivot aug[r][r]
+        lcm = math.lcm(*(aug[r][r] for r in range(k)))
+        solutions = [([aug[r][-1] * (lcm // aug[r][r]) for r in range(k)], lcm)]
+    else:
+        particular, basis = affine_solution(aug, pivots, k + 1)
+        point = particular[:k]
+        ends = [point]
+        if len(basis) == 1:
+            # one-parameter family: walk to both ends of the probability box
+            direction = basis[0][:k]
+            lo = hi = None
+            for p, d in zip(point, direction):
+                if not d:
+                    if p < 0:
+                        return [], True
+                    continue
+                bound = -p / d
+                if d > 0:
+                    lo = bound if lo is None else max(lo, bound)
+                else:
+                    hi = bound if hi is None else min(hi, bound)
+            if lo is None or hi is None or lo > hi:
+                return [], True
+            ends = [[p + lam * d for p, d in zip(point, direction)] for lam in {lo, hi}]
+        solutions = [scalars.as_integers(end) for end in ends]
+    kept = []
+    for weights, den in solutions:
+        if min(weights) < 0:
             continue
-        mixture = _embed(dict(zip(support, raw)), count)
-        weights, _ = scalars.as_integers(mixture)
-        terms = [(s, w) for s, w in enumerate(weights) if w]
+        terms = [(s, w) for s, w in zip(other, weights) if w]
         best = _best_replies([sum(row[s] * w for s, w in terms) for row in payoffs])
         if not replies & ~best:
-            out.append(mixture)
-    return out
+            mixture: list[Scalar] = [0] * count
+            for s, w in zip(other, weights):
+                mixture[s] = Fraction(w, den)
+            kept.append(tuple(mixture))
+    return kept, singular
 
 
 def support_enumeration_2p(game: Game) -> SupportEnumerationResult:
     """Exact equilibria of a two-player game by support enumeration.
 
     A support pair with a single strategy on either side can only yield
-    pure profiles, so those pairs reduce to pure best replies, computed
-    once: (a, b) is an equilibrium exactly when a is a best reply to b and
-    b to a.  For every pair of supports with two strategies or more on
-    both sides, solve the indifference systems for each side's mixture and
-    keep solutions that are valid distributions.  A mixture equalizes its
-    opponent's payoffs across the opponent's support, so it is kept only
-    when that whole support consists of best replies to it; the second
-    side is solved only when some candidate of the first side is kept, and
-    every pair of kept candidates is an equilibrium.
+    pure profiles: (a, b) is an equilibrium exactly when a is a best reply
+    to b and b to a, computed once.  For every pair of supports with two
+    strategies or more on both sides, each side's mixture must equalize
+    the opponent's payoffs across the opponent's support and keep that
+    whole support best replies; the second side is solved only when a
+    candidate of the first is kept, and every pair of kept candidates is
+    an equilibrium.  Equilibria are de-duplicated by value, the first
+    found kept, and sorted.
 
     Degenerate games are flagged and represented by the family endpoints
     of their singular systems: the flag is set when a singular system
@@ -246,50 +236,36 @@ def support_enumeration_2p(game: Game) -> SupportEnumerationResult:
         raise ParameterOutOfRange(
             f"support enumeration needs 2 players, game has {game.num_players}"
         )
+    # integer payoffs: a positive scaling keeps every solution and best reply
     rows, cols = game.shape
-    u1, u2 = _pure_payoff_matrices(game)
-    u2t = [[u2[a][b] for a in range(rows)] for b in range(cols)]
+    t1, t2 = game.integer_payoffs
+    u1 = [t1[a * cols : (a + 1) * cols] for a in range(rows)]
+    u2t = [t2[b::cols] for b in range(cols)]  # u2t[b][a]: player 2's payoff
     # row_best[b] is player 1's best replies to b, col_best[a] player 2's to a
-    row_best = [_best_replies(column) for column in zip(*u1)]
-    col_best = [_best_replies(row) for row in u2]
-    found: dict = {}
+    row_best = [_best_replies(t1[b::cols]) for b in range(cols)]
+    col_best = [_best_replies(t2[a * cols : (a + 1) * cols]) for a in range(rows)]
+    found: set = set()
     degenerate = False
     for a, b in itertools.product(range(rows), range(cols)):
         if row_best[b] >> a & 1 and col_best[a] >> b & 1:
-            key = (_embed({a: 1}, rows), _embed({b: 1}, cols))
-            found[key] = MixedProfile(key)
+            found.add((_unit(a, rows), _unit(b, cols)))
             # x & (x - 1) is nonzero when the mask x has two bits or more
             if row_best[b] & (row_best[b] - 1) or col_best[a] & (col_best[a] - 1):
                 degenerate = True
-    row_supports, col_supports = (
-        [c for size in range(2, k + 1) for c in itertools.combinations(range(k), size)]
-        for k in game.shape
-    )
-    for own in row_supports:
-        own_mask = _mask(own)
-        for other in col_supports:
-            q_result = _mix_candidates(u1, own, other)
-            if q_result is None:
-                continue
-            q_raws, q_degen = q_result
-            qs = _candidates(q_raws, other, cols, u1, own_mask)
+    for own, own_mask in _supports(rows):
+        for other, other_mask in _supports(cols):
+            qs, q_singular = _mixtures(u1, own, own_mask, other, cols)
             if not qs:
                 continue
-            p_result = _mix_candidates(u2t, other, own)
-            if p_result is None:
-                continue
-            p_raws, p_degen = p_result
-            ps = _candidates(p_raws, own, rows, u2t, _mask(other))
+            ps, p_singular = _mixtures(u2t, other, other_mask, own, rows)
             # a singular system only signals degeneracy once a candidate
             # from its family is a real equilibrium
-            if ps and (q_degen or p_degen):
+            if ps and (q_singular or p_singular):
                 degenerate = True
-            for q in qs:
-                for p in ps:
-                    key = (p, q)
-                    if key not in found:
-                        found[key] = MixedProfile(key)
-    ordered = sorted(found)
+            # a set keeps the first of equal profiles: a pure equilibrium's
+            # int entries win over a boundary mixture's Fractions
+            found.update(itertools.product(ps, qs))
     return SupportEnumerationResult(
-        equilibria=tuple(found[k] for k in ordered), degenerate=degenerate
+        equilibria=tuple(MixedProfile(key) for key in sorted(found)),
+        degenerate=degenerate,
     )

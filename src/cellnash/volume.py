@@ -145,19 +145,30 @@ def _volume_polynomial(
     return poly
 
 
+_moved: tuple = (None, {})  # the last (game, grid, t) and its moved vertices
+
+
 def moved_cell_volume(
     game: Game, tri: Triangulation, cell_index: int, t: Scalar
 ) -> Scalar:
     """Signed volume of one moved cell at parameter ``t``: each vertex
     moved by :func:`~cellnash.labeling.root_motion`, then a numeric
-    determinant rather than the polynomial form."""
+    determinant rather than the polynomial form.  The vertices moved for
+    the last ``(game, tri, t)``, compared by value, are kept, so a walk
+    over all cells moves each vertex once."""
+    global _moved
     _check_grid(game, tri)
     if type(cell_index) is not int or not 0 <= cell_index < len(tri.cells):
         raise ParameterOutOfRange(f"cell index {cell_index!r} out of range")
-    vertices = [tri.vertices[v] for v in tri.cells[cell_index]]
-    moved = [root_motion(game, MixedProfile((v,)), t).dist[0] for v in vertices]
-    value = determinant(_edges(moved))
-    return -value if determinant(_edges(vertices)) < 0 else value
+    key, points = _moved
+    if key != (game, tri, t):
+        _moved = key, points = (game, tri, t), {}
+    cell = tri.cells[cell_index]
+    for v in cell:
+        if v not in points:
+            points[v] = root_motion(game, MixedProfile((tri.vertices[v],)), t).dist[0]
+    value = determinant(_edges([points[v] for v in cell]))
+    return -value if determinant(_edges([tri.vertices[v] for v in cell])) < 0 else value
 
 
 def _edges(points: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

@@ -1,14 +1,16 @@
 """Reference support enumeration for the oracle tests.
 
 ``support_enumeration_2p`` settles the support pairs with a singleton
-side by pure best replies and prunes each side's candidates by the
-replies they must leave optimal.  This is the plain form it replaced,
-sharing no code with it but the linear solver: every support pair goes
-through the indifference systems (``_mix_candidates``, with its
-singleton branches), and every (p, q) candidate pair is embedded afresh
-and checked by recomputing both players' integer payoff sums against
-the pair.  A difference between the two is a difference in the pure
-pairs, the pruning, the embedding or the ``degenerate`` rule.
+side by pure best replies, prunes each side's candidates by the replies
+they must leave optimal, and solves its systems with the package's
+fraction-free ``eliminate``.  This is the plain form it replaced, and it
+shares none of that: every support pair goes through the indifference
+systems (``_mix_candidates``, with its singleton branches), solved by the
+Fraction Gauss–Jordan of ``linalg_reference``, and every (p, q)
+candidate pair is embedded afresh and checked by recomputing both
+players' integer payoff sums against the pair.  A difference between the
+two is a difference in the elimination, the pure pairs, the pruning, the
+embedding or the ``degenerate`` rule.
 """
 
 from __future__ import annotations
@@ -17,9 +19,10 @@ import itertools
 
 from cellnash import scalars
 from cellnash.game import Game, MixedProfile
-from cellnash.linalg import solve_affine
 from cellnash.oracle import SupportEnumerationResult
 from cellnash.scalars import Scalar
+
+from linalg_reference import reference_solve_affine
 
 
 def _pure_payoff_matrices(game: Game) -> tuple[list[list[int]], list[list[int]]]:
@@ -71,7 +74,7 @@ def _mix_candidates(
         rhs.append(0)
     matrix.append([1] * k + [0])
     rhs.append(1)
-    solved = solve_affine(matrix, rhs)
+    solved = reference_solve_affine(matrix, rhs)
     if solved is None:
         return None
     particular, basis = solved

@@ -1,49 +1,16 @@
 """Exact determinants and linear solves against Fraction references."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from cellnash.linalg import determinant, solve_affine
+from cellnash.errors import DimensionMismatch
+from cellnash.linalg import determinant, eliminate, solve_affine
 
-
-def reference_solve_affine(matrix, rhs):
-    # Gauss–Jordan on Fractions: every row divided by its pivot
-    m = len(matrix)
-    cols = len(matrix[0]) if m else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pivot_row = next((r for r in range(row, m) if aug[r][col]), None)
-        if pivot_row is None:
-            continue
-        aug[row], aug[pivot_row] = aug[pivot_row], aug[row]
-        pivot = aug[row][col]
-        aug[row] = [v / pivot for v in aug[row]]
-        for r in range(m):
-            if r != row and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [a - factor * b for a, b in zip(aug[r], aug[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    if any(aug[r][cols] for r in range(row, m)):
-        return None
-    particular = [Fraction(0)] * cols
-    for r, col in enumerate(pivots):
-        particular[col] = aug[r][cols]
-    basis = []
-    for f in (c for c in range(cols) if c not in pivots):
-        direction = [Fraction(0)] * cols
-        direction[f] = Fraction(1)
-        for r, col in enumerate(pivots):
-            direction[col] = -aug[r][f]
-        basis.append(direction)
-    return particular, basis
+from linalg_reference import reference_rref, reference_solve_affine
 
 
 DRAWS = {
@@ -113,6 +80,77 @@ def test_solve_affine_edge_cases(matrix, rhs):
 
 def test_solve_affine_empty_system():
     assert solve_affine([], []) == reference_solve_affine([], []) == ([], [])
+
+
+def primitive(row):
+    # the row's unique integer multiple with no common factor whose first
+    # nonzero entry is positive
+    den = math.lcm(*(Fraction(v).denominator for v in row))
+    ints = [int(v * den) for v in row]
+    g = math.gcd(*ints)
+    lead = next((v for v in ints if v), 1)
+    return [v // g if lead > 0 else -v // g for v in ints] if g else ints
+
+
+def primitive_system(rng, rows, cols):
+    # integer rows with no common factor, some of them combinations of
+    # others and some zero, and right-hand sides half of the time consistent
+    matrix, rhs = random_system(rng, DRAWS["int"], rows, cols)
+    return [primitive([*row, b]) for row, b in zip(matrix, rhs)]
+
+
+@pytest.mark.parametrize(
+    "aug",
+    [
+        pytest.param([[-2, 1, 0], [1, 1, 3]], id="negative-first-pivot"),
+        pytest.param([[0, -3, 1, 2], [4, 6, 0, 1]], id="negative-second-pivot"),
+        pytest.param([[2, 0, 1], [0, 3, 1]], id="untouched-rows"),
+        pytest.param([[1, 2, 3], [2, 4, 6]], id="dependent-rows"),
+    ],
+)
+def test_eliminate_pinned_cases(aug):
+    expected = reference_rref([row[:-1] for row in aug], [row[-1] for row in aug])
+    rows, pivots = expected
+    got = [list(row) for row in aug]
+    assert eliminate(got) == pivots
+    assert got[: len(pivots)] == [primitive(row) for row in rows[: len(pivots)]]
+    assert all(v > 0 for v in (got[r][c] for r, c in enumerate(pivots)))
+
+
+def test_eliminate_keeps_rows_primitive_with_positive_pivots():
+    # the core's rows against the Fraction reduced row echelon form: pivot
+    # row r is the reference row r scaled to coprime integers, its pivot
+    # positive, and every row below the rank is zero
+    rng = random.Random(4513)
+    seen = {"none": 0, "singular": 0, "regular": 0}
+    for _ in range(600):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        aug = primitive_system(rng, rows, cols)
+        expected = reference_rref([row[:-1] for row in aug], [row[-1] for row in aug])
+        pivots = eliminate(aug)
+        if expected is None:
+            assert pivots is None, aug
+            seen["none"] += 1
+            continue
+        reduced, want = expected
+        assert pivots == want, aug
+        for r, row in enumerate(aug):
+            if r < len(pivots):
+                assert row == primitive(reduced[r]) and row[pivots[r]] > 0, aug
+            else:
+                assert not any(row), aug
+        seen["regular" if len(pivots) == cols else "singular"] += 1
+    assert min(seen.values()) > 0, seen
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[[1, 2, 3], [4, 5, 6]], [[1], [2]], [[1, 2], [3]], [[]]],
+    ids=["2x3", "2x1", "ragged", "1x0"],
+)
+def test_determinant_refuses_a_non_square_matrix(matrix):
+    with pytest.raises(DimensionMismatch):
+        determinant(matrix)
 
 
 def reference_determinant(matrix):

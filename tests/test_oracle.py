@@ -1,6 +1,7 @@
 """Grid scans, support enumeration, and profile verification."""
 
 import ast
+import collections
 import itertools
 import pathlib
 import random
@@ -17,6 +18,7 @@ from cellnash import (
     grid_min_regret,
     oracle,
     is_equilibrium,
+    linalg,
     solve,
     support_enumeration_2p,
     verify_profile,
@@ -283,6 +285,72 @@ def test_support_enumeration_matches_pairwise_reference(shape, count, kind):
         degenerate += expected.degenerate
     if shape != (1, 1):  # a 1x1 game has no tie to flag
         assert degenerate > 0  # the draw reaches the singular systems too
+
+
+F = Fraction
+# a 3x3 coordination game whose full-support equilibrium has weights
+# 1/6, 1/10 and 11/15: pivot denominators 6, 10 and 15, whose lcm 30 is
+# neither their largest nor their product
+UNEQUAL = (66, 0, 0, 0, 110, 0, 0, 0, 15)
+
+
+@pytest.mark.parametrize(
+    "shape, payoffs, present",
+    [
+        # the first indifference row starts with -1, a negative pivot
+        pytest.param(
+            (2, 2), ((-1, 1, 1, -1), (1, -1, -1, 1)), ((F(1, 2), F(1, 2)), (F(1, 2), F(1, 2))),
+            id="negative-pivot",
+        ),
+        # the full-support systems solve to q = (1, 0) and p = (1, 0), a
+        # weight of Fraction 0 inside each support; the profile equals the
+        # pure equilibrium (0, 0), which keeps its int entries
+        pytest.param(
+            (2, 2), ((1, 0, 1, 2), (1, 1, 0, 2)), ((1, 0), (1, 0)), id="boundary-mixture"
+        ),
+        pytest.param(
+            (3, 3), (UNEQUAL, UNEQUAL), ((F(1, 6), F(1, 10), F(11, 15)),) * 2,
+            id="3x3-unequal-denominators",
+        ),
+        # player 1 is indifferent: the q system is singular, and its family
+        # ends, Fraction 0 and 1 inside the support, are equilibria
+        pytest.param(
+            (2, 2), ((-1,) * 4, (-1, 0, 1, -1)), ((F(2, 3), F(1, 3)), (F(0), F(1))),
+            id="singular",
+        ),
+    ],
+)
+def test_targeted_systems_match_the_reference(shape, payoffs, present):
+    game = make_game(shape, payoffs)
+    result = support_enumeration_2p(game)
+    expected = reference_support_enumeration(game)
+    assert _typed(result) == _typed(expected)
+    assert result.degenerate == expected.degenerate
+    typed = [[(v, type(v)) for v in vec] for vec in present]
+    assert typed in _typed(result)
+
+
+def test_exhaustive_2x2_eliminates_each_system_once(monkeypatch):
+    # every game with payoffs in {-1, 0, 1}: each indifference system goes
+    # through the integer core once, a singular one is read once off the
+    # same rows, and the Fraction wrapper is never called
+    outcomes = collections.Counter()
+    eliminate = oracle.eliminate
+
+    def counted(aug):
+        pivots = eliminate(aug)
+        regular = pivots is not None and len(pivots) == len(aug[0]) - 1
+        outcomes["inconsistent" if pivots is None else "regular" if regular else "singular"] += 1
+        return pivots
+
+    monkeypatch.setattr(oracle, "eliminate", counted)
+    readings = count_calls(monkeypatch, linalg, "affine_solution")
+    wrapper = count_calls(monkeypatch, linalg, "solve_affine")
+    for u1, u2 in itertools.product(itertools.product((-1, 0, 1), repeat=4), repeat=2):
+        support_enumeration_2p(make_game((2, 2), (u1, u2)))
+    assert sum(outcomes.values()) == 11_664
+    assert outcomes == {"regular": 8_928, "singular": 1_296, "inconsistent": 1_440}
+    assert len(readings) == 1_296 and wrapper == []
 
 
 @pytest.mark.parametrize(

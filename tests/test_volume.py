@@ -11,6 +11,7 @@ from cellnash import (
     MixedProfile,
     errors,
     find_pre_equilibria,
+    labeling,
     grid_labels,
     moved_cell_volume,
     root_label,
@@ -21,7 +22,7 @@ from cellnash import (
 )
 from cellnash.cli import EXIT_OK, run_cli
 
-from conftest import FIXTURE_SEED, make_game, one_player_games, random_game
+from conftest import FIXTURE_SEED, count_calls, make_game, one_player_games, random_game
 
 
 def poly_eval(coeffs, t):
@@ -181,6 +182,24 @@ def test_four_and_one_strategy_games(payoffs, m):
             assert poly_eval(poly, Fraction(t)) == moved_cell_volume(game, tri, idx, t)
     certified = {cert.cell.factor[0] for cert in find_pre_equilibria(game, m)}
     assert set(result.nonzero_cells_at_one) <= certified
+
+
+def test_cell_walk_moves_each_vertex_once(monkeypatch):
+    # all 64 cells of a 3-strategy grid at m=8 share 45 vertices: one
+    # root_label per vertex, none for a repeat walk at the same exact t,
+    # and a fresh set for another t, since the memo holds one grid
+    game = make_game((3,), ((2, 0, 1),))
+    tri = triangulate(2, 8)
+    polys = total_volume_polynomial(game, tri)
+    monkeypatch.setattr(volume, "_moved", (None, {}))
+    labels = count_calls(monkeypatch, labeling, "root_label")
+    rows = count_calls(monkeypatch, labeling, "label_rows")
+    for t, calls in ((Fraction(1, 2), 45), (0.5, 45), (Fraction(1, 3), 90)):
+        moved = [moved_cell_volume(game, tri, idx, t) for idx in range(len(tri.cells))]
+        assert len(labels) == calls and len(tri.vertices) == 45
+        assert rows == []  # the numeric check stays off the grid labeler
+        assert tuple(moved) == polys.cell_values_at(t)
+        assert all(type(v) is Fraction for v in moved)
 
 
 def reference_poly_det(matrix):
