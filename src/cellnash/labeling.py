@@ -20,7 +20,8 @@ rows gives a row of picks, and a row of labels is the elementwise sum of
 one pick row per player, summed once per distinct combination.  The sums
 are on integers: the vertex weights over their grid's common denominator
 and each payoff tensor over its own, which scales a deviation row by a
-positive constant and so keeps its argmin and its ties exactly.
+positive constant and so keeps its argmin and its ties exactly.  The
+weights, supports and columns come with each grid; nothing is memoized.
 
 Moving each player's vector along the segment toward the degenerate
 vector on their label sweeps grid cells onto pure profiles; cells whose
@@ -34,8 +35,8 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
-from typing import NamedTuple, Sequence
+from functools import partial, reduce
+from typing import Sequence
 
 from .errors import DimensionMismatch, ParameterOutOfRange
 from .game import (
@@ -48,7 +49,7 @@ from .game import (
 )
 from . import scalars
 from .scalars import Scalar
-from .subdivision import GRID_MEMO_SIZE, Triangulation
+from .subdivision import Triangulation
 
 
 def root_label(game: Game, sigma: MixedProfile) -> PureProfile:
@@ -86,10 +87,9 @@ def label_rows(game: Game, tris: Sequence[Triangulation]) -> tuple[list, list[in
     once, and distinct combinations give distinct rows.
     """
     _check_grid(game, tris)
-    axes = list(map(_axis, tris))
     # per player: a table of distinct rows, and each output row's key in it
-    parts = [_pick_rows(game, axes, i) for i in range(len(axes) - 1)]
-    parts.append(_last_rows(game, axes))
+    parts = [_pick_rows(game, tris, i) for i in range(len(tris) - 1)]
+    parts.append(_last_rows(game, tris))
     tables = [table for table, _ in parts]
     found: dict[tuple, int] = {}
     keys = [found.setdefault(c, len(found)) for c in zip(*(k for _, k in parts))]
@@ -108,39 +108,15 @@ def _check_grid(game: Game, tris: Sequence[Triangulation]) -> None:
             )
 
 
-class _Axis(NamedTuple):
-    """One player's grid in integers: per vertex its weights (the grid's
-    ``numerators``) and its support's id; the supports in id order; and
-    ``columns[s]``, every vertex's weight on strategy ``s``.  Made once
-    per grid and shared, so every part is a tuple."""
-
-    weights: tuple[tuple[int, ...], ...]
-    ids: tuple[int, ...]
-    supports: tuple[tuple[int, ...], ...]
-    columns: tuple[tuple[int, ...], ...]
-
-
-@lru_cache(maxsize=GRID_MEMO_SIZE)  # a grid hashes by (dim, resolution)
-def _axis(tri: Triangulation) -> _Axis:
-    weights = tri.numerators
-    strategies = range(tri.dim + 1)
-    found: dict[tuple[int, ...], int] = {}
-    ids = tuple(
-        found.setdefault(tuple(itertools.compress(strategies, w)), len(found))
-        for w in weights
-    )
-    return _Axis(weights, ids, tuple(found), tuple(zip(*weights)))
-
-
-def _pick_rows(game: Game, axes: Sequence[_Axis], i: int) -> tuple[list, list[int]]:
+def _pick_rows(game: Game, tris: Sequence[Triangulation], i: int) -> tuple[list, list]:
     """Player ``i``'s (not the last player's) distinct rows of
     ``game.strides[i] * choice`` along the last player's vertices, and
     per output row, in order, the index of its row."""
-    *prefix, last = axes
-    counts = [len(a.ids) for a in prefix]
+    *prefix, last = tris
+    counts = [len(t.numerators) for t in prefix]
     outer, inner = math.prod(counts[:i]), math.prod(counts[i + 1 :])
-    count, stride, supports = game.shape[i], game.strides[i], axes[i].supports
-    blocks = _contract(game.integer_payoffs[i], game, axes, len(prefix), keep=i)
+    count, stride, supports = game.shape[i], game.strides[i], tris[i].supports
+    blocks = _contract(game.integer_payoffs[i], game, tris, len(prefix), keep=i)
     found: dict[tuple[int, ...], int] = {}
     picks = []  # per tuple of the other prefix players' vertices, per support
     for o in range(outer):
@@ -155,21 +131,21 @@ def _pick_rows(game: Game, axes: Sequence[_Axis], i: int) -> tuple[list, list[in
     keys = [
         picks[o * inner + u][sid]
         for o in range(outer)
-        for sid in axes[i].ids
+        for sid in tris[i].support_ids
         for u in range(inner)
     ]
     return list(found), keys
 
 
-def _last_rows(game: Game, axes: Sequence[_Axis]) -> tuple[dict, list]:
+def _last_rows(game: Game, tris: Sequence[Triangulation]) -> tuple[dict, list]:
     """The last player's distinct rows of choices, keyed by the choice
     per support, and per output row, in order, its key.  The deviation
     rows run along the second-to-last player's vertices, so one argmin
     per support covers that many output rows."""
-    *prefix, last = axes
+    *prefix, last = tris
     if prefix:
         count, columns = game.shape[-1], prefix[-1].columns
-        blocks = _contract(game.integer_payoffs[-1], game, axes, len(prefix) - 1)
+        blocks = _contract(game.integer_payoffs[-1], game, tris, len(prefix) - 1)
         rows = [
             [_along(columns, block[s::count]) for s in range(count)] for block in blocks
         ]
@@ -178,10 +154,11 @@ def _last_rows(game: Game, axes: Sequence[_Axis]) -> tuple[dict, list]:
     keys = []
     for devs in rows:
         keys += zip(*(_argmins(devs, support, 1) for support in last.supports))
-    return {key: tuple(map(key.__getitem__, last.ids)) for key in set(keys)}, keys
+    ids = last.support_ids
+    return {key: tuple(map(key.__getitem__, ids)) for key in set(keys)}, keys
 
 
-def _contract(tensor, game: Game, axes: Sequence[_Axis], stop: int, keep=None):
+def _contract(tensor, game: Game, tris: Sequence[Triangulation], stop: int, keep=None):
     """``tensor`` summed over each player ``j < stop`` against their
     vertex weights, one axis at a time, except that player ``keep``'s
     axis is only split by strategy.  Returns the remaining sub-tensors,
@@ -197,7 +174,7 @@ def _contract(tensor, game: Game, axes: Sequence[_Axis], stop: int, keep=None):
         if j == keep:
             blocks = list(itertools.chain.from_iterable(split))
         else:
-            blocks = [_along(parts, w) for parts in split for w in axes[j].weights]
+            blocks = [_along(parts, w) for parts in split for w in tris[j].numerators]
     return blocks
 
 

@@ -69,7 +69,7 @@ def grid_min_regret(
     winner's gain table is built, for the reported regret.
     """
     tris = player_triangulations(game, resolutions, budget)
-    counts = [len(t.vertices) for t in tris]
+    counts = [len(t.numerators) for t in tris]
     steps = [math.prod(counts[j + 1 :]) for j in range(len(tris))]
     # per player and vertex: its offset into the profile list, its lattice
     # numerators, and its support as (payoff tensor offset, numerator) pairs
@@ -99,7 +99,7 @@ def grid_min_regret(
     first = worst.index(min(worst))  # the first minimum, as a strict < keeps
     profile = MixedProfile(
         tuple(
-            tri.vertices[first // step % count]
+            tri.point(first // step % count)
             for tri, step, count in zip(tris, steps, counts)
         )
     )

@@ -104,7 +104,7 @@ def scan_cells(
     # numbers: vertex index times the later prefix players' vertex counts
     offsets = []
     for j, tri in enumerate(prefix):
-        step = math.prod(len(t.vertices) for t in prefix[j + 1 :])
+        step = math.prod(len(t.numerators) for t in prefix[j + 1 :])
         if step == 1:  # the last prefix player: a vertex index is its number
             offsets.append(tri.cells)
         else:

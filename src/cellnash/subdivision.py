@@ -9,10 +9,10 @@ coordinate goes negative visits the vertices of one cell.  That yields
 ``m**d`` simplices on ``C(m+d, d)`` lattice vertices, every cell with the
 same volume, and shared faces matching exactly — no hanging nodes.
 
-A grid depends only on its dimension and resolution, never on payoffs,
-so each one is built once per process and shared: :func:`triangulate`
-keeps the last ``GRID_MEMO_SIZE`` grids it built, each carrying the
-integer numerators the labeler sums.
+A grid is held in integers only, and exact points are made on demand.
+It depends only on its dimension and resolution, never on payoffs, so
+each one is built once per process and shared: one memo keeps the grids
+used last while they hold at most ``GRID_MEMO_LIMIT`` integers together.
 
 A product cell combines one cell per player; its vertex profiles are all
 combinations of the factor cells' vertices, which is exactly one profile
@@ -25,9 +25,8 @@ import itertools
 import math
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -37,11 +36,11 @@ from .errors import (
     ParameterOutOfRange,
     ResolutionZero,
 )
-from .game import Game, MixedProfile
+from .game import Game, MixedProfile, _cached
 from .scalars import Scalar
 
 DEFAULT_BUDGET = 10_000_000
-GRID_MEMO_SIZE = 32  # holds a doubling ladder of both 1-D and 2-D grids
+GRID_MEMO_LIMIT = DEFAULT_BUDGET  # integers the memoized grids hold together
 
 
 def default_budget() -> int:
@@ -68,24 +67,47 @@ def check_int(value, name: str) -> None:
 
 @dataclass(frozen=True)
 class Triangulation:
-    """All cells of one player's simplex grid.
-
-    ``vertices`` are exact barycentric points in lexicographic order of
-    their ``k/m`` numerators; each cell is an ascending tuple of vertex
-    indices, and the cell list is sorted.  ``numerators`` holds each
-    vertex's ``k`` over the common denominator ``m``; it is derived from
-    ``vertices``, so ``==``, ``hash`` and ``repr`` leave it out.
-    """
+    """All cells of one player's simplex grid, in integers: each vertex's
+    ``numerators`` over ``resolution`` in lexicographic order, and each
+    cell as an ascending tuple of vertex indices, the cells sorted.  The
+    labeler's form is derived on construction: the distinct vertex
+    ``supports``, each vertex's index into them, and ``columns[s]``,
+    every vertex's numerator on strategy ``s``."""
 
     dim: int  # simplex dimension: strategy count minus one
     resolution: int
-    vertices: tuple[tuple[Scalar, ...], ...]
+    numerators: tuple[tuple[int, ...], ...]
     cells: tuple[tuple[int, ...], ...]
-    numerators: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
+    supports: tuple[tuple[int, ...], ...] = _cached()
+    support_ids: tuple[int, ...] = _cached()
+    columns: tuple[tuple[int, ...], ...] = _cached()
+
+    def __post_init__(self):
+        strategies = range(self.dim + 1)
+        found: dict[tuple[int, ...], int] = {}
+        ids = tuple(
+            found.setdefault(tuple(itertools.compress(strategies, k)), len(found))
+            for k in self.numerators
+        )
+        object.__setattr__(self, "supports", tuple(found))
+        object.__setattr__(self, "support_ids", ids)
+        object.__setattr__(self, "columns", tuple(zip(*self.numerators)))
 
     def __hash__(self) -> int:
-        # equal grids share these; hashing the vertices would walk the grid
+        # equal grids share these; hashing the numerators would walk the grid
         return hash((self.dim, self.resolution))
+
+    def point(self, v: int) -> tuple[Scalar, ...]:
+        """Vertex ``v`` as an exact point, with ``int`` corners."""
+        m = self.resolution
+        return tuple(
+            0 if k == 0 else 1 if k == m else Fraction(k, m) for k in self.numerators[v]
+        )
+
+    @property
+    def vertices(self) -> tuple[tuple[Scalar, ...], ...]:
+        """Every vertex's :meth:`point`, made anew on each access."""
+        return tuple(map(self.point, range(len(self.numerators))))
 
 
 def _lattice_vertices(dim: int, resolution: int) -> list[tuple[int, ...]]:
@@ -99,18 +121,9 @@ def _lattice_vertices(dim: int, resolution: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _coordinate(k: int, m: int) -> Scalar:
-    # keep exact ints at the corners so degenerate vectors stay cheap
-    if k == 0:
-        return 0
-    if k == m:
-        return 1
-    return Fraction(k, m)
-
-
 def triangulate(dim: int, resolution: int) -> Triangulation:
     """The grid for a ``dim``-dimensional strategy simplex, built once per
-    process while it stays among the last ``GRID_MEMO_SIZE`` grids built.
+    process while it stays in the grid memo.
 
     ``dim`` or ``resolution`` other than an ``int`` (a ``bool`` too) is a
     :class:`ParameterOutOfRange`.  A grid with more than
@@ -131,13 +144,32 @@ def triangulate(dim: int, resolution: int) -> Triangulation:
     return _build(dim, resolution)
 
 
-@lru_cache(maxsize=GRID_MEMO_SIZE)
+_grids: dict[tuple[int, int], Triangulation] = {}  # least recently used first
+
+
+def _size(tri: Triangulation) -> int:  # the integers in its numerators and cells
+    return (tri.dim + 1) * (len(tri.numerators) + len(tri.cells))
+
+
 def _build(dim: int, m: int) -> Triangulation:
+    """The memoized grid.  A grid used moves to the back; a new one drops
+    grids from the front until the memo holds at most ``GRID_MEMO_LIMIT``
+    integers, and is returned but not kept if it alone holds more."""
+    tri = _grids.pop((dim, m), None)
+    if tri is None:
+        tri = _kuhn_grid(dim, m)
+        if _size(tri) > GRID_MEMO_LIMIT:
+            return tri
+        held = sum(map(_size, _grids.values())) + _size(tri)
+        while held > GRID_MEMO_LIMIT:
+            held -= _size(_grids.pop(next(iter(_grids))))
+    _grids[dim, m] = tri
+    return tri
+
+
+def _kuhn_grid(dim: int, m: int) -> Triangulation:
     numerators = _lattice_vertices(dim, m)
     index = {v: i for i, v in enumerate(numerators)}
-    vertices = tuple(
-        tuple(_coordinate(k, m) for k in v) for v in numerators
-    )
     cells: list[tuple[int, ...]] = []
     for base in numerators:
         if base[0] == 0:
@@ -157,8 +189,7 @@ def _build(dim: int, m: int) -> Triangulation:
     expected = m**dim
     assert len(cells) == expected, f"expected {expected} cells, built {len(cells)}"
     return Triangulation(
-        dim=dim, resolution=m, vertices=vertices, cells=tuple(cells),
-        numerators=tuple(numerators),
+        dim=dim, resolution=m, numerators=tuple(numerators), cells=tuple(cells)
     )
 
 
@@ -191,8 +222,7 @@ def build_product_cell(
         if type(c) is not int or not 0 <= c < len(tri.cells):
             raise IndexOutOfRange(f"cell index {c!r} out of range")
     factor_vertices = tuple(
-        tuple(tri.vertices[v] for v in tri.cells[c])
-        for tri, c in zip(triangulations, factor)
+        tuple(map(tri.point, tri.cells[c])) for tri, c in zip(triangulations, factor)
     )
     profiles = tuple(
         MixedProfile(tuple(combo))
@@ -210,18 +240,19 @@ def player_triangulations(
 ) -> tuple[Triangulation, ...]:
     """One triangulation per player; a single int applies to everyone.
 
-    Every grid in the package comes from here, through :func:`triangulate`,
-    so it is built once per process (while it stays in that memo) and
-    shared: by players with the same strategy count and resolution, and by
-    later calls.  A resolution that is not an ``int``, ``bool`` included,
-    is a :class:`ParameterOutOfRange`.  A grid whose vertex profile count
-    or product cell count exceeds ``budget`` (``None`` means
-    :func:`default_budget`; a budget that is not an ``int``, or is below 1,
-    is :class:`ParameterOutOfRange`) is refused with
-    :class:`BudgetExceeded` before any triangulation exists:
-    player ``i`` with ``k`` strategies has ``C(m_i + k - 1, k - 1)``
-    lattice vertices and ``m_i ** (k - 1)`` cells, and the profiles and
-    product cells are their products.  ``needed`` is the larger count.
+    Every grid in the package comes from here, out of the memo
+    :func:`triangulate` reads, so it is built once per process (while it
+    stays in that memo) and shared: by players with the same strategy
+    count and resolution, and by later calls.  A resolution that is not
+    an ``int``, ``bool`` included, is a :class:`ParameterOutOfRange`.  A
+    grid whose vertex profile count or product cell count exceeds
+    ``budget`` (``None`` means :func:`default_budget`; a budget that is
+    not an ``int``, or is below 1, is :class:`ParameterOutOfRange`) is
+    refused with :class:`BudgetExceeded` before any triangulation exists,
+    and that is its only cap: player ``i`` with ``k`` strategies has
+    ``C(m_i + k - 1, k - 1)`` lattice vertices and ``m_i ** (k - 1)``
+    cells, and the profiles and product cells are their products.
+    ``needed`` is the larger count.
     """
     if not isinstance(resolutions, Iterable):
         resolutions = (resolutions,) * game.num_players
@@ -249,12 +280,12 @@ def player_triangulations(
     if needed > budget:
         raise BudgetExceeded(needed, budget)
     pairs = list(zip(game.shape, resolutions))
-    grids = {pair: triangulate(pair[0] - 1, pair[1]) for pair in set(pairs)}
+    grids = {pair: _build(pair[0] - 1, pair[1]) for pair in set(pairs)}
     return tuple(map(grids.__getitem__, pairs))
 
 
 def vertex_profile_count(triangulations: Sequence[Triangulation]) -> int:
-    return math.prod(len(tri.vertices) for tri in triangulations)
+    return math.prod(len(tri.numerators) for tri in triangulations)
 
 
 def cell_diameter(cell: ProductCell) -> float:

@@ -7,9 +7,10 @@ and because the motion keeps boundary faces inside themselves, the sum
 over all cells stays identically one.  At ``t = 1`` a cell's volume is
 nonzero exactly when its vertex labels are pairwise distinct — that is,
 when the cell is a certificate.  This module computes those polynomials
-exactly and checks the constancy claim coefficient by coefficient.  The
-numeric :func:`moved_cell_volume`, which moves a cell's vertices with
-:func:`~cellnash.labeling.root_motion`, is the independent check on them.
+exactly, on the grid's integer numerators, and checks the constancy
+claim coefficient by coefficient.  The numeric :func:`moved_cell_volume`,
+which moves a cell's vertices with :func:`~cellnash.labeling.root_motion`,
+is the independent check on them.
 
 Multi-player products are out of scope here; the search module covers
 them combinatorially.
@@ -17,7 +18,6 @@ them combinatorially.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -32,7 +32,7 @@ from . import scalars
 from .scalars import Scalar
 from .subdivision import Triangulation
 
-Poly = tuple[Fraction, ...]  # coefficients, constant term first
+Poly = tuple[Scalar, ...]  # coefficients, constant term first
 
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
@@ -47,7 +47,7 @@ def _poly_mul(a: Poly, b: Poly) -> Poly:
     return tuple(out)
 
 
-def _poly_scale(a: Poly, factor: Fraction) -> Poly:
+def _poly_scale(a: Poly, factor: Scalar) -> Poly:
     return tuple(c * factor for c in a)
 
 
@@ -80,21 +80,16 @@ def _poly_divexact(a: Poly, b: Poly) -> Poly:
 
 
 def _poly_det(matrix: list[list[Poly]]) -> Poly:
-    """Determinant with polynomial entries, by fraction-free (Bareiss)
-    elimination over the entries' integer numerators: each step's division
-    by the previous pivot is exact in Z[t], and a zero pivot swaps in a
-    lower row with a nonzero entry."""
+    """Determinant with integer polynomial entries, by Bareiss elimination:
+    each step's division by the previous pivot is exact in Z[t], and a
+    zero pivot swaps in a lower row with a nonzero entry."""
     n = len(matrix)
-    den = math.lcm(*(c.denominator for row in matrix for e in row for c in e))
-    rows = [
-        [[c.numerator * (den // c.denominator) for c in entry] for entry in row]
-        for row in matrix
-    ]
+    rows = [list(row) for row in matrix]
     sign, prev = 1, (1,)
     for k in range(n):
         pivot = next((r for r in range(k, n) if any(rows[r][k])), None)
         if pivot is None:
-            return (Fraction(0),)
+            return (0,)
         if pivot != k:
             rows[k], rows[pivot] = rows[pivot], rows[k]
             sign = -sign
@@ -106,7 +101,7 @@ def _poly_det(matrix: list[list[Poly]]) -> Poly:
                 )
                 row[j] = _poly_divexact(minor, prev) if k else minor
         prev = p
-    return tuple(Fraction(c, sign * den**n) for c in prev)
+    return _poly_scale(prev, sign)
 
 
 def _check_grid(game: Game, tri: Triangulation) -> None:
@@ -125,24 +120,18 @@ def _volume_polynomial(
 ) -> Poly:
     """Signed volume of the moved cell as an exact polynomial in ``t``,
     oriented so the value at ``t = 0`` is positive."""
-    # vertex r with label l_r moves to v_r + t*(e_{l_r} - v_r), so each
-    # edge-matrix entry is linear in t
-    vertices = [tri.vertices[v] for v in cell]
-    v0, l0 = vertices[0], labels[0]
+    # vertex r with label l_r moves to v_r + t*(e_{l_r} - v_r); over the
+    # grid's denominator m each edge-matrix entry is an integer linear in t
+    m, axes = tri.resolution, range(1, tri.dim + 1)
+    n0, *others = (tri.numerators[v] for v in cell)
+    l0 = labels[0]
     matrix = [
-        [
-            (
-                Fraction(vr[c] - v0[c]),
-                Fraction((c == lr) - vr[c] - (c == l0) + v0[c]),
-            )
-            for c in range(1, tri.dim + 1)
-        ]
-        for vr, lr in zip(vertices[1:], labels[1:])
+        [(nr[c] - n0[c], m * ((c == lr) - (c == l0)) - nr[c] + n0[c]) for c in axes]
+        for nr, lr in zip(others, labels[1:])
     ]
     poly = _poly_trim(_poly_det(matrix))
-    if poly[0] < 0:
-        poly = _poly_scale(poly, Fraction(-1))
-    return poly
+    scale = m**tri.dim if poly[0] > 0 else -(m**tri.dim)
+    return tuple(Fraction(c, scale) for c in poly)
 
 
 _moved: tuple = (None, {})  # the last (game, grid, t) and its moved vertices
@@ -166,9 +155,10 @@ def moved_cell_volume(
     cell = tri.cells[cell_index]
     for v in cell:
         if v not in points:
-            points[v] = root_motion(game, MixedProfile((tri.vertices[v],)), t).dist[0]
+            points[v] = root_motion(game, MixedProfile((tri.point(v),)), t).dist[0]
     value = determinant(_edges([points[v] for v in cell]))
-    return -value if determinant(_edges([tri.vertices[v] for v in cell])) < 0 else value
+    orientation = determinant(_edges([tri.numerators[v] for v in cell]))
+    return value if orientation > 0 else -value
 
 
 def _edges(points: Sequence[Sequence[Scalar]]) -> list[list[Scalar]]:

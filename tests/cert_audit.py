@@ -100,12 +100,13 @@ def _has_perfect_matching(options) -> bool:
 def audit_grid(game: Game, m: int) -> GridAudit:
     """Audit every product cell of the grid with resolution ``m`` per player."""
     tris = [triangulate(k - 1, m) for k in game.shape]
+    vertices = [tri.vertices for tri in tris]
     pure_count = math.prod(game.shape)
     memo = {}
 
     def labels(key):
         if key not in memo:
-            dist = [tri.vertices[v] for tri, v in zip(tris, key)]
+            dist = [points[v] for points, v in zip(vertices, key)]
             per_player = [
                 _zero_gain_labels(game, dist, i) for i in range(game.num_players)
             ]

@@ -5,6 +5,9 @@ they live with the tests: a point locator and a cell volume for checking
 the Kuhn grid's geometry, a generator of every product cell, the
 deviation profile that the reference gain table evaluates directly, and
 the per-profile grid scan that the oracle's shared-row scan replaced.
+The locator and the volume read a grid's lattice numerators and do
+their linear algebra with ``tests/linalg_reference.py``, not with the
+package's fraction-free core.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from typing import Iterator, Optional, Sequence
 
 from cellnash.errors import IndexOutOfRange
 from cellnash.game import Game, MixedProfile, check_profile, gain_table
-from cellnash.linalg import determinant, solve_affine
 from cellnash.scalars import Scalar
 from cellnash.subdivision import (
     ProductCell,
@@ -23,6 +25,7 @@ from cellnash.subdivision import (
     build_product_cell,
     player_triangulations,
 )
+from linalg_reference import reference_determinant, reference_solve_affine
 
 
 def product_cells(game: Game, resolutions: Sequence[int] | int) -> Iterator[ProductCell]:
@@ -34,22 +37,22 @@ def product_cells(game: Game, resolutions: Sequence[int] | int) -> Iterator[Prod
 
 def simplex_cell_volume(tri: Triangulation, cell_index: int) -> Fraction:
     """Cell volume normalized so the whole simplex has volume one."""
-    cell = tri.cells[cell_index]
-    base = tri.vertices[cell[0]]
-    edges = [
-        [tri.vertices[v][c] - base[c] for c in range(1, tri.dim + 1)]
-        for v in cell[1:]
-    ]
-    return abs(Fraction(determinant(edges)))
+    m = tri.resolution
+    base, *others = (tri.numerators[v] for v in tri.cells[cell_index])
+    edges = [[Fraction(k[c] - base[c], m) for c in range(1, tri.dim + 1)] for k in others]
+    return abs(reference_determinant(edges))
 
 
 def locate_point(tri: Triangulation, point: Sequence[Scalar]) -> list[int]:
     """Indices of cells containing the barycentric ``point``."""
     hits = []
+    m = tri.resolution
     for idx, cell in enumerate(tri.cells):
-        matrix = [[tri.vertices[v][c] for v in cell] for c in range(tri.dim + 1)]
+        matrix = [
+            [Fraction(tri.numerators[v][c], m) for v in cell] for c in range(tri.dim + 1)
+        ]
         matrix.append([1] * len(cell))
-        solved = solve_affine(matrix, list(point) + [1])
+        solved = reference_solve_affine(matrix, list(point) + [1])
         if solved is None:
             continue
         weights, basis = solved

@@ -1,12 +1,16 @@
-"""Plain Fraction Gauss–Jordan, the reference for exact linear solves.
+"""Plain Fraction references for exact linear solves and determinants.
 
-Every row is divided by its pivot, so nothing here shares the package's
-fraction-free elimination: ``tests/test_linalg.py`` checks
-``solve_affine`` and ``eliminate`` against it, and
-``tests/support_reference.py`` solves its indifference systems with it.
+Every row is divided by its pivot, and a determinant is the Leibniz sum,
+so nothing here shares the package's fraction-free elimination:
+``tests/test_linalg.py`` checks ``solve_affine``, ``eliminate`` and
+``determinant`` against it, ``tests/support_reference.py`` solves its
+indifference systems with it, and ``tests/grid_reference.py`` locates
+points and measures cells with it.
 """
 
 from __future__ import annotations
+
+import itertools
 
 from fractions import Fraction
 
@@ -58,3 +62,18 @@ def reference_solve_affine(matrix, rhs):
             direction[col] = -aug[r][f]
         basis.append(direction)
     return particular, basis
+
+
+def reference_determinant(matrix):
+    """Leibniz formula on exact Fractions: one signed product per
+    permutation, so nothing is eliminated at all."""
+    n = len(matrix)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        term = Fraction(-1) ** sum(
+            perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2)
+        )
+        for r, c in enumerate(perm):
+            term *= Fraction(matrix[r][c])
+        total += term
+    return total

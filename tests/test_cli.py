@@ -127,7 +127,7 @@ def test_volume_check_constant(capsys, tmp_path):
 
 
 def test_volume_check_builds_its_grid_once(capsys, monkeypatch, tmp_path):
-    triangulations = count_calls(monkeypatch, subdivision, "triangulate")
+    triangulations = count_calls(monkeypatch, subdivision, "_build")
     root_labels = count_calls(monkeypatch, labeling, "root_label")
     grid_labelings = count_calls(monkeypatch, labeling, "label_rows")
     csv_path = tmp_path / "samples.csv"

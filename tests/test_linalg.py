@@ -1,6 +1,5 @@
 """Exact determinants and linear solves against Fraction references."""
 
-import itertools
 import math
 import random
 from fractions import Fraction
@@ -10,7 +9,7 @@ import pytest
 from cellnash.errors import DimensionMismatch
 from cellnash.linalg import determinant, eliminate, solve_affine
 
-from linalg_reference import reference_rref, reference_solve_affine
+from linalg_reference import reference_determinant, reference_rref, reference_solve_affine
 
 
 DRAWS = {
@@ -151,20 +150,6 @@ def test_eliminate_keeps_rows_primitive_with_positive_pivots():
 def test_determinant_refuses_a_non_square_matrix(matrix):
     with pytest.raises(DimensionMismatch):
         determinant(matrix)
-
-
-def reference_determinant(matrix):
-    # Leibniz formula on exact Fractions
-    n = len(matrix)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        term = Fraction(-1) ** sum(
-            perm[a] > perm[b] for a, b in itertools.combinations(range(n), 2)
-        )
-        for r, c in enumerate(perm):
-            term *= Fraction(matrix[r][c])
-        total += term
-    return total
 
 
 @pytest.mark.parametrize("kind", sorted(DRAWS))

@@ -168,7 +168,7 @@ def _mask_walk_game(case):
     return game, m
 
 
-def test_warm_grid_memo_changes_nothing():
+def test_warm_grid_memo_changes_nothing(monkeypatch):
     def solved(game):
         try:
             return report_json(solve(game, Fraction(1, 10)), game)
@@ -183,20 +183,20 @@ def test_warm_grid_memo_changes_nothing():
     jobs += [(scanned, case) for case in sorted(MASK_WALK_CASES)]
     cold = []
     for run, arg in jobs:
-        subdivision._build.cache_clear()
-        labeling._axis.cache_clear()
+        monkeypatch.setattr(subdivision, "_grids", {})
         cold.append(run(arg))
     # warm: grids kept from the jobs before, other shapes' grids in between
     rng = random.Random(FIXTURE_SEED)
     others = [random_game(rng, shape) for shape in ((3, 2), (2, 3, 2), (4,), (1, 3))]
-    hits = subdivision._build.cache_info().hits, labeling._axis.cache_info().hits
+    lookups = count_calls(monkeypatch, subdivision, "_build")
+    builds = count_calls(monkeypatch, subdivision, "_kuhn_grid")
     warm = []
     for k, (run, arg) in enumerate(jobs):
         find_pre_equilibria(others[k % len(others)], 1 + k % 5)
         warm.append(run(arg))
     assert warm == cold
-    assert subdivision._build.cache_info().hits > hits[0] + len(jobs)
-    assert labeling._axis.cache_info().hits > hits[1] + len(jobs)
+    # each grid carries the labeler's form, so a kept grid is a hit for both
+    assert len(lookups) - len(builds) > len(jobs)
 
 
 def test_shared_row_case_reads_a_shared_row():

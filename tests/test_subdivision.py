@@ -20,7 +20,7 @@ from cellnash import (
     subdivision,
     triangulate,
 )
-from cellnash.subdivision import GRID_MEMO_SIZE, Triangulation, vertex_profile_count
+from cellnash.subdivision import Triangulation, vertex_profile_count
 
 from conftest import MATCHING_PENNIES, make_game
 from grid_reference import locate_point, product_cells, simplex_cell_volume
@@ -154,7 +154,7 @@ def test_cell_barycenter_lies_in_exactly_that_cell(dim, m, pick):
     idx = pick % len(tri.cells)
     cell = tri.cells[idx]
     barycenter = tuple(
-        sum(Fraction(tri.vertices[v][c]) for v in cell) / (dim + 1)
+        Fraction(sum(tri.numerators[v][c] for v in cell), m * (dim + 1))
         for c in range(dim + 1)
     )
     assert locate_point(tri, barycenter) == [idx]
@@ -218,9 +218,9 @@ def test_per_player_resolutions():
 
 def test_equal_grids_are_built_once_and_shared(monkeypatch):
     built = []
-    build = subdivision.triangulate
+    build = subdivision._build
     monkeypatch.setattr(
-        subdivision, "triangulate", lambda *args: built.append(args) or build(*args)
+        subdivision, "_build", lambda *args: built.append(args) or build(*args)
     )
     two_by_three = player_triangulations(make_game((2, 3), ((0,) * 6,) * 2), 4)
     assert two_by_three[0] is not two_by_three[1]
@@ -258,7 +258,7 @@ def test_budget_refuses_grid_before_building_it(mp, monkeypatch):
     def no_grid(dim, resolution):
         raise AssertionError("triangulated an over-budget grid")
 
-    monkeypatch.setattr(subdivision, "triangulate", no_grid)
+    monkeypatch.setattr(subdivision, "_build", no_grid)
     calls = (
         lambda: find_pre_equilibria(mp, 200, budget=10),
         lambda: solve(mp, 0, m0=200, budget=10),
@@ -276,7 +276,7 @@ def test_budget_bounds_the_cell_walk(monkeypatch):
     def no_grid(dim, resolution):
         raise AssertionError("triangulated an over-budget grid")
 
-    monkeypatch.setattr(subdivision, "triangulate", no_grid)
+    monkeypatch.setattr(subdivision, "_build", no_grid)
     monkeypatch.delenv("NASH_BUDGET", raising=False)
     game = make_game((3, 3), ((0,) * 9, (0,) * 9))
     for call in (
@@ -294,7 +294,7 @@ def test_non_integer_resolution_rejected_before_any_grid(mp, monkeypatch):
     def no_grid(dim, resolution):
         raise AssertionError("triangulated a grid at a non-integer resolution")
 
-    monkeypatch.setattr(subdivision, "triangulate", no_grid)
+    monkeypatch.setattr(subdivision, "_build", no_grid)
     calls = (
         (lambda: solve(mp, 0, m0=2.5), "resolution 2.5 is not an integer"),
         (lambda: solve(mp, 0, refine_factor=2.5), "refine factor 2.5 is not an integer"),
@@ -361,31 +361,64 @@ def test_build_product_cell_refuses_bad_factors():
     assert build_product_cell(tris, (1, 0)).factor == (1, 0)
 
 
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty grid memo for one test; the process's memo is put back
+    after it."""
+    grids = {}
+    monkeypatch.setattr(subdivision, "_grids", grids)
+    return grids
+
+
+def _leaves(value):
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _leaves(item)
+    else:
+        yield value
+
+
 @pytest.mark.parametrize("dim", range(4))
 def test_memo_returns_the_uncached_grid_and_keeps_it(dim):
     for m in range(1, 7):
         tri = triangulate(dim, m)
-        fresh = subdivision._build.__wrapped__(dim, m)
+        fresh = subdivision._kuhn_grid(dim, m)
         assert fresh is not tri
-        for f in dataclasses.fields(Triangulation):
-            assert getattr(tri, f.name) == getattr(fresh, f.name), (dim, m, f.name)
-        # each vertex is its numerators over m
-        assert [tuple(Fraction(k, m) for k in v) for v in tri.numerators] == list(
-            tri.vertices
-        )
+        for name in vars(tri):
+            assert getattr(tri, name) == getattr(fresh, name), (dim, m, name)
+        # the grid holds ints only; the labeler's form is read off them
+        assert {type(x) for x in _leaves(tuple(vars(tri).values()))} == {int}
+        assert [tri.supports[i] for i in tri.support_ids] == [
+            tuple(s for s, k in enumerate(v) if k) for v in tri.numerators
+        ]
+        assert tri.columns == tuple(zip(*tri.numerators))
+        # each point is its numerators over m, with ints at the corners
+        points = [tuple(Fraction(k, m) for k in v) for v in tri.numerators]
+        assert points == list(tri.vertices) == list(map(tri.point, range(len(points))))
+        corners = [x for point in tri.vertices for x in point if x in (0, 1)]
+        assert {type(x) for x in corners} == {int}
         assert triangulate(dim, m) is tri
-        assert labeling._axis(tri) is labeling._axis(triangulate(dim, m))
 
 
-def test_equality_hash_and_repr_ignore_numerators():
+def test_equality_hash_and_repr_ignore_the_labeler_form():
     tri = triangulate(2, 3)
-    bare = dataclasses.replace(tri, numerators=())
+    derived = ["supports", "support_ids", "columns"]
+    assert [f.name for f in dataclasses.fields(tri) if not f.compare] == derived
+    bare = dataclasses.replace(tri)
+    for name in derived:
+        object.__setattr__(bare, name, ())
     assert bare == tri
     assert hash(bare) == hash(tri)
     assert repr(bare) == repr(tri)
-    assert "numerators" not in repr(tri)
+    assert not any(name in repr(tri) for name in derived)
+    # built again from its integers, a grid derives the same form
+    twin = Triangulation(2, 3, tri.numerators, tri.cells)
+    assert [getattr(twin, name) for name in derived] == [
+        getattr(tri, name) for name in derived
+    ]
     assert tri != triangulate(2, 4)
     assert tri != dataclasses.replace(tri, cells=tri.cells[1:])
+    assert tri != dataclasses.replace(tri, numerators=tri.numerators[::-1])
 
 
 @pytest.mark.parametrize(
@@ -405,16 +438,15 @@ def test_equality_hash_and_repr_ignore_numerators():
          "dim-minus-1", "over-budget"],
 )
 def test_bad_grid_arguments_raise_every_call_and_never_enter_the_memo(
-    dim, resolution, error, monkeypatch
+    dim, resolution, error, monkeypatch, memo
 ):
-    subdivision._build.cache_clear()
     cached = triangulate(1, 2)
     triangulate(1, 11)  # cached while the budget allows it
     monkeypatch.setenv("NASH_BUDGET", "11")  # C(12, 1) = 12 vertices at m=11
     for _ in range(2):
         with pytest.raises(error):
             triangulate(dim, resolution)
-    assert subdivision._build.cache_info().currsize == 2
+    assert list(memo) == [(1, 2), (1, 11)]
     assert triangulate(1, 2) is cached  # 1 == True, yet only 1 finds it
 
 
@@ -434,21 +466,58 @@ def test_budget_refuses_a_grid_before_the_builder(monkeypatch):
     assert built == [(1, 9)]
 
 
-def test_memo_holds_at_most_its_size():
-    subdivision._build.cache_clear()
-    labeling._axis.cache_clear()
+def test_memo_holds_at_most_its_size(memo, monkeypatch):
+    # a 1-D grid at m holds 2(m + 1) + 2m integers: 6, 10, 14 and 18 for m = 1..4
+    sizes = {m: subdivision._size(triangulate(1, m)) for m in range(1, 5)}
+    assert sizes == {1: 6, 2: 10, 3: 14, 4: 18}
+    memo.clear()
+    monkeypatch.setattr(subdivision, "GRID_MEMO_LIMIT", 6 + 10 + 14)
     game = make_game((2,), ((0, 1),))
-    for m in range(1, GRID_MEMO_SIZE + 9):
+    for m in (1, 2, 3):
         labeling.label_rows(game, player_triangulations(game, m))
-    for memo in (subdivision._build, labeling._axis):
-        info = memo.cache_info()
-        assert info.maxsize == GRID_MEMO_SIZE
-        assert info.currsize == GRID_MEMO_SIZE
-    # the newest grids stay; the oldest was dropped and is built again
-    misses = subdivision._build.cache_info().misses
-    newest = triangulate(1, GRID_MEMO_SIZE + 8)
-    assert triangulate(1, GRID_MEMO_SIZE + 8) is newest
-    assert subdivision._build.cache_info().misses == misses
-    assert triangulate(1, 1) == subdivision._build.__wrapped__(1, 1)
-    assert subdivision._build.cache_info().misses == misses + 1
-    assert subdivision._build.cache_info().currsize == GRID_MEMO_SIZE
+    assert list(memo) == [(1, 1), (1, 2), (1, 3)]
+    oldest = triangulate(1, 1)  # used again: now the most recent
+    assert list(memo) == [(1, 2), (1, 3), (1, 1)]
+    # the least recently used grids go first, until the new one fits
+    newest = triangulate(1, 4)
+    assert list(memo) == [(1, 1), (1, 4)]
+    assert triangulate(1, 4) is newest and triangulate(1, 1) is oldest
+    # a dropped grid is built again, equal to the one it replaces; m=4
+    # was used before m=1 just above, so it goes
+    rebuilt = triangulate(1, 2)
+    assert rebuilt == subdivision._kuhn_grid(1, 2)
+    assert list(memo) == [(1, 1), (1, 2)]
+    assert sum(map(subdivision._size, memo.values())) == 6 + 10
+
+
+def test_a_grid_over_the_whole_limit_is_returned_but_not_kept(memo, monkeypatch):
+    monkeypatch.setattr(subdivision, "GRID_MEMO_LIMIT", 15)
+    small = triangulate(1, 2)  # 10 integers
+    big = triangulate(1, 4)  # 18 integers
+    assert big == subdivision._kuhn_grid(1, 4)
+    assert list(memo) == [(1, 2)]
+    assert triangulate(1, 4) is not big
+    assert triangulate(1, 2) is small
+
+
+def test_an_explicit_budget_is_the_one_cap_on_its_grids(monkeypatch):
+    game = make_game((3,), ((0, 1, 2),))
+    # 3 strategies at m=4: 15 lattice vertices and 16 cells
+    monkeypatch.setenv("NASH_BUDGET", "10")
+    assert player_triangulations(game, 4, budget=100) == (subdivision._kuhn_grid(2, 4),)
+    assert find_pre_equilibria(game, 4, budget=16)
+    # without budget= the environment's cap holds, and a direct
+    # triangulate keeps its own check
+    for call in (lambda: player_triangulations(game, 4), lambda: triangulate(2, 4)):
+        with pytest.raises(errors.BudgetExceeded) as info:
+            call()
+        assert (info.value.needed, info.value.budget) == (16, 10)
+    # past the default cap: C(4473, 2) vertices and 4471**2 cells, never built here
+    monkeypatch.delenv("NASH_BUDGET")
+    built = []
+    monkeypatch.setattr(subdivision, "_build", lambda *args: built.append(args) or args)
+    assert player_triangulations(game, 4471, budget=10**8) == ((2, 4471),)
+    assert built == [(2, 4471)]
+    with pytest.raises(errors.BudgetExceeded) as info:
+        triangulate(2, 4471)
+    assert (info.value.needed, info.value.budget) == (4471**2, 10_000_000)
