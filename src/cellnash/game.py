@@ -85,8 +85,8 @@ class Game:
     name: str = ""
     integer_payoffs: tuple[tuple[int, ...], ...] = _cached()
     payoff_scales: tuple[int, ...] = _cached()
-    _shape: tuple[int, ...] = _cached()
-    _strides: tuple[int, ...] = _cached()
+    shape: tuple[int, ...] = _cached()
+    strides: tuple[int, ...] = _cached()
 
     def __post_init__(self):
         # a list would leave the frozen game unhashable
@@ -144,20 +144,12 @@ class Game:
     def num_players(self) -> int:
         return len(self.strategy_names)
 
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self._shape
-
-    @property
-    def strides(self) -> tuple[int, ...]:
-        return self._strides
-
     def payoff(self, player: int, pure: Sequence[int]) -> Scalar:
         """Payoff to ``player`` at a pure strategy combination; an index
         that is not an ``int`` is out of range."""
         _check_player(self, player)
         idx = 0
-        for stride, s, count in zip(self._strides, pure, self._shape):
+        for stride, s, count in zip(self.strides, pure, self.shape):
             if type(s) is not int or not 0 <= s < count:
                 raise IndexOutOfRange(f"strategy index {s!r} out of range")
             idx += stride * s
@@ -165,7 +157,7 @@ class Game:
 
     def flat_index(self, pure: Sequence[int]) -> int:
         idx = 0
-        for stride, s in zip(self._strides, pure):
+        for stride, s in zip(self.strides, pure):
             idx += stride * s
         return idx
 
@@ -174,8 +166,8 @@ class Game:
 # frozen class refuses setattr, and object.__setattr__ costs twice as much
 _set_integer_payoffs = Game.integer_payoffs.__set__
 _set_payoff_scales = Game.payoff_scales.__set__
-_set_shape = Game._shape.__set__
-_set_strides = Game._strides.__set__
+_set_shape = Game.shape.__set__
+_set_strides = Game.strides.__set__
 
 
 @dataclass(frozen=True, slots=True)

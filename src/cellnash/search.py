@@ -32,7 +32,8 @@ from functools import partial, reduce
 from typing import Optional, Sequence
 
 from . import scalars
-from .errors import NoPreEquilibriumFound, ParameterOutOfRange, ResolutionZero
+from .errors import BudgetExceeded, NoPreEquilibriumFound
+from .errors import ParameterOutOfRange, ResolutionZero
 from .game import Game, GainTable, MixedProfile, PureProfile, check_eps, gain_table
 from .labeling import label_rows
 from .labeling import root_label  # noqa: F401  perfbench's tracer test reads search.root_label
@@ -213,8 +214,10 @@ def solve(
     """Refine until some certificate's barycenter is an ``eps_target``
     equilibrium, or stages run out.
 
-    Raises :class:`NoPreEquilibriumFound` only when every stage comes up
-    empty — then there is no profile to report at all.
+    The ladder ends early at the first stage whose grid the budget
+    refuses; that :class:`BudgetExceeded` is raised only when it is the
+    first stage.  Raises :class:`NoPreEquilibriumFound` only when every
+    stage run comes up empty — then there is no profile to report at all.
     """
     check_eps(eps_target, "eps target")
     check_int(m0, "resolution")
@@ -234,7 +237,12 @@ def solve(
     m = m0
     for stage in range(max_stages):
         start = time.perf_counter()
-        tris = player_triangulations(game, m, budget)
+        try:
+            tris = player_triangulations(game, m, budget)
+        except BudgetExceeded:
+            if not records:
+                raise
+            break  # the budget ends the ladder; the stages run so far stand
         certs = scan_cells(game, tris)
         chosen = {}
         if certs:

@@ -2,17 +2,20 @@
 
 A player's strategy simplex at resolution ``m`` is cut along the lattice
 of points ``k/m``, with integer numerators ``k >= 0`` summing to ``m``.
-Cells are built in those numerators: from every lattice point with mass
-on coordinate 0, for every order of the axes ``1..d``, move one unit of
-mass from coordinate ``a - 1`` to coordinate ``a``; each walk in which no
-coordinate goes negative visits the vertices of one cell.  That yields
-``m**d`` simplices on ``C(m+d, d)`` lattice vertices, every cell with the
-same volume, and shared faces matching exactly — no hanging nodes.
+Cells are built in those numerators.  Axis ``a`` in ``1..d`` moves one
+unit of mass from coordinate ``a - 1`` to coordinate ``a``.  From each
+lattice point with mass on coordinate 0, a depth-first walk on an
+explicit stack takes every axis once, and may take axis ``a`` only while
+coordinate ``a - 1`` holds mass.  The lowest unused axis always may, so
+no walk dead-ends and each finished walk is one cell: ``m**d`` simplices
+on ``C(m+d, d)`` lattice vertices, every cell with the same volume, and
+shared faces matching exactly — no hanging nodes.
 
 A grid is held in integers only, and exact points are made on demand.
 It depends only on its dimension and resolution, never on payoffs, so
 each one is built once per process and shared: one memo keeps the grids
 used last while they hold at most ``GRID_MEMO_LIMIT`` integers together.
+One check, of resolutions and budget, comes before that memo.
 
 A product cell combines one cell per player; its vertex profiles are all
 combinations of the factor cells' vertices, which is exactly one profile
@@ -93,10 +96,6 @@ class Triangulation:
         object.__setattr__(self, "support_ids", ids)
         object.__setattr__(self, "columns", tuple(zip(*self.numerators)))
 
-    def __hash__(self) -> int:
-        # equal grids share these; hashing the numerators would walk the grid
-        return hash((self.dim, self.resolution))
-
     def point(self, v: int) -> tuple[Scalar, ...]:
         """Vertex ``v`` as an exact point, with ``int`` corners."""
         m = self.resolution
@@ -126,22 +125,16 @@ def triangulate(dim: int, resolution: int) -> Triangulation:
     process while it stays in the grid memo.
 
     ``dim`` or ``resolution`` other than an ``int`` (a ``bool`` too) is a
-    :class:`ParameterOutOfRange`.  A grid with more than
-    :func:`default_budget` lattice vertices ``C(m+dim, dim)`` or cells
-    ``m**dim`` is refused with :class:`BudgetExceeded` before it is built
-    or looked up, ``needed`` being the larger count.  Every check runs on
-    every call."""
+    :class:`ParameterOutOfRange`.  The rest is :func:`player_triangulations`'
+    check for one player with ``dim + 1`` strategies under
+    :func:`default_budget`: a grid with more than that many lattice
+    vertices ``C(m+dim, dim)`` or cells ``m**dim`` is refused with
+    :class:`BudgetExceeded` before it is built or looked up, ``needed``
+    being the larger count.  Every check runs on every call."""
     check_int(dim, "dimension")
-    check_int(resolution, "resolution")
     if dim < 0:
         raise ResolutionZero(f"dimension {dim} is negative")
-    if resolution < 1:
-        raise ResolutionZero(f"resolution {resolution} must be >= 1")
-    budget = default_budget()
-    needed = max(math.comb(resolution + dim, dim), resolution**dim)
-    if needed > budget:
-        raise BudgetExceeded(needed, budget)
-    return _build(dim, resolution)
+    return _checked_grids((dim + 1,), (resolution,), None)[0]
 
 
 _grids: dict[tuple[int, int], Triangulation] = {}  # least recently used first
@@ -174,17 +167,20 @@ def _kuhn_grid(dim: int, m: int) -> Triangulation:
     for base in numerators:
         if base[0] == 0:
             continue
-        for order in itertools.permutations(range(1, dim + 1)):
-            point = list(base)
-            cell = [index[base]]
-            for axis in order:
-                point[axis - 1] -= 1
-                if point[axis - 1] < 0:
-                    break
-                point[axis] += 1
-                cell.append(index[tuple(point)])
-            else:
+        # each entry: a walk's point, the vertices it visited, its unused axes
+        stack = [(base, (index[base],), tuple(range(1, dim + 1)))]
+        while stack:
+            point, cell, unused = stack.pop()
+            if not unused:
                 cells.append(tuple(sorted(cell)))
+            for j, a in enumerate(unused):
+                if point[a - 1]:
+                    moved = list(point)
+                    moved[a - 1] -= 1
+                    moved[a] += 1
+                    step = tuple(moved)
+                    rest = unused[:j] + unused[j + 1 :]
+                    stack.append((step, cell + (index[step],), rest))
     cells.sort()
     expected = m**dim
     assert len(cells) == expected, f"expected {expected} cells, built {len(cells)}"
@@ -240,27 +236,32 @@ def player_triangulations(
 ) -> tuple[Triangulation, ...]:
     """One triangulation per player; a single int applies to everyone.
 
-    Every grid in the package comes from here, out of the memo
-    :func:`triangulate` reads, so it is built once per process (while it
-    stays in that memo) and shared: by players with the same strategy
-    count and resolution, and by later calls.  A resolution that is not
-    an ``int``, ``bool`` included, is a :class:`ParameterOutOfRange`.  A
-    grid whose vertex profile count or product cell count exceeds
-    ``budget`` (``None`` means :func:`default_budget`; a budget that is
-    not an ``int``, or is below 1, is :class:`ParameterOutOfRange`) is
-    refused with :class:`BudgetExceeded` before any triangulation exists,
-    and that is its only cap: player ``i`` with ``k`` strategies has
+    Every grid in the package comes from here or from
+    :func:`triangulate`, through one check and then one memo, so it is
+    built once per process (while it stays in that memo) and shared: by
+    players with the same strategy count and resolution, and by later
+    calls.  A resolution that is not an ``int``, ``bool`` included, is a
+    :class:`ParameterOutOfRange`.  A grid whose vertex profile count or
+    product cell count exceeds ``budget`` (``None`` means
+    :func:`default_budget`; a budget that is not an ``int``, or is below
+    1, is :class:`ParameterOutOfRange`) is refused with
+    :class:`BudgetExceeded` before any triangulation exists, and that is
+    its only cap: player ``i`` with ``k`` strategies has
     ``C(m_i + k - 1, k - 1)`` lattice vertices and ``m_i ** (k - 1)``
     cells, and the profiles and product cells are their products.
     ``needed`` is the larger count.
     """
     if not isinstance(resolutions, Iterable):
         resolutions = (resolutions,) * game.num_players
-    resolutions = tuple(resolutions)
-    if len(resolutions) != game.num_players:
-        raise ResolutionZero(
-            f"{len(resolutions)} resolutions for {game.num_players} players"
-        )
+    return _checked_grids(game.shape, tuple(resolutions), budget)
+
+
+def _checked_grids(
+    shape: Sequence[int], resolutions: tuple, budget: Optional[int]
+) -> tuple[Triangulation, ...]:
+    # every grid's one check, then the memo: see player_triangulations
+    if len(resolutions) != len(shape):
+        raise ResolutionZero(f"{len(resolutions)} resolutions for {len(shape)} players")
     for m in resolutions:
         check_int(m, "resolution")
         if m < 1:
@@ -271,15 +272,12 @@ def player_triangulations(
         check_int(budget, "budget")
         if budget < 1:
             raise ParameterOutOfRange(f"budget {budget} must be >= 1")
-    profiles = math.prod(
-        math.comb(m + count - 1, count - 1)
-        for count, m in zip(game.shape, resolutions)
-    )
-    cells = math.prod(m ** (count - 1) for count, m in zip(game.shape, resolutions))
+    pairs = list(zip(shape, resolutions))
+    profiles = math.prod(math.comb(m + count - 1, count - 1) for count, m in pairs)
+    cells = math.prod(m ** (count - 1) for count, m in pairs)
     needed = max(profiles, cells)
     if needed > budget:
         raise BudgetExceeded(needed, budget)
-    pairs = list(zip(game.shape, resolutions))
     grids = {pair: _build(pair[0] - 1, pair[1]) for pair in set(pairs)}
     return tuple(map(grids.__getitem__, pairs))
 

@@ -71,6 +71,22 @@ def test_solve_exhausted_stages_report_error(capsys, tmp_path):
     assert data["error"]["cells_scanned"] == 5460
 
 
+def test_solve_reports_the_stages_run_before_the_budget_refuses_one(
+    capsys, tmp_path, monkeypatch
+):
+    # 3x3 at m=64 needs 16,777,216 product cells: the ladder ends at m=32
+    monkeypatch.delenv("NASH_BUDGET", raising=False)
+    path = tmp_path / "ladder.json"
+    payoffs = ((4, -1, 0, 5, 3, -5, 2, -2, 5), (-5, -3, -4, 0, 2, -2, 1, 3, -4))
+    path.write_text(serialize_game(make_game((3, 3), payoffs)))
+    code, out = run(capsys, "solve", str(path), "--eps", "0")
+    assert code == EXIT_NOT_MET
+    data = json.loads(out)
+    assert data["stages"][-1]["resolutions"] == [32, 32]
+    assert data["final"]["max_regret"] == "835/9216"
+    assert run(capsys, "solve", str(path), "--eps", "0", "--max-stages", "5") == (code, out)
+
+
 def test_eval_gain_table_output(capsys):
     code, out = run(capsys, "eval", MP, "--profile", "[[1, 0], [1, 0]]")
     assert code == EXIT_OK

@@ -453,6 +453,29 @@ def test_solve_raises_when_every_stage_is_empty():
     assert exc.cells_scanned == 4 + 16 + 64 + 256 + 1024 + 4096
 
 
+# 3x3 at m=64 needs 64**4 = 16,777,216 product cells, past the default
+# budget, so solve's sixth stage is refused
+LADDER_GAME = make_game(
+    (3, 3), ((4, -1, 0, 5, 3, -5, 2, -2, 5), (-5, -3, -4, 0, 2, -2, 1, 3, -4))
+)
+
+
+def test_a_refused_later_stage_ends_the_ladder(monkeypatch):
+    monkeypatch.delenv("NASH_BUDGET", raising=False)
+    report = solve(LADDER_GAME, 0)
+    assert [s.resolutions for s in report.stages] == [(m, m) for m in (2, 4, 8, 16, 32)]
+    assert not report.converged
+    assert report.final_max_regret == report.stages[-1].max_regret == Fraction(835, 9216)
+    # the same report as a ladder that stops at m=32 by itself
+    five = solve(LADDER_GAME, 0, max_stages=5)
+    assert report_json(report, LADDER_GAME) == report_json(five, LADDER_GAME)
+    # a ladder whose stages all came up empty still raises; m=4 needs 25
+    # vertex profiles, past a budget of 9
+    with pytest.raises(errors.NoPreEquilibriumFound) as info:
+        solve(MATCHING_PENNIES, 0, budget=9)
+    assert info.value.resolutions_tried == [[2, 2]]
+
+
 def test_solve_tie_on_total_gain_keeps_first_cell():
     # the three certificates of this coordination game tie at total 3/16;
     # the first in lexicographic cell order is the one reported

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -97,14 +98,30 @@ def staircase_cells(dim, m):
     return tuple(sorted(cells))
 
 
-@pytest.mark.parametrize("dim", range(5))
+@pytest.mark.parametrize("dim", range(9))
 def test_cells_match_staircase_reference_in_order(dim):
-    # cell order fixes certificate order, and with it solve's tie-break
-    for m in range(1, 9):
+    # cell order fixes certificate order, and with it solve's tie-break;
+    # the reference walks d! orders per base, so high dims stop early
+    for m in range(1, {5: 5, 6: 4, 7: 3, 8: 2}.get(dim, 8) + 1):
         tri = triangulate(dim, m)
         assert tri.cells == staircase_cells(dim, m), (dim, m)
         numerators = [tuple(int(x * m) for x in v) for v in tri.vertices]
         assert numerators == sorted(numerators)
+
+
+def test_many_strategy_grids_build_at_once(memo):
+    # one walk per cell; trying d! axis orders per base point took about
+    # 15 s at (10, 2), d times that at (11, 2), and would never finish at 39
+    for dim, m in ((11, 2), (39, 1)):
+        start = time.perf_counter()
+        tri = triangulate(dim, m)
+        assert time.perf_counter() - start < 1.0, (dim, m)
+        assert (dim, m) in memo
+        assert len(tri.numerators) == binomial(m + dim, dim)
+        assert len(tri.cells) == m**dim
+        assert list(tri.cells) == sorted(set(tri.cells))
+        for cell in tri.cells:
+            assert len(set(cell)) == dim + 1 and cell == tuple(sorted(cell))
 
 
 @given(st.integers(1, 3), st.integers(1, 5))
