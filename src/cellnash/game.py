@@ -14,7 +14,11 @@ common-denominator numerators, and divide only the values they report.
 Each integer form is made once: a :class:`Game` keeps its payoff
 tensors' and a :class:`MixedProfile` its strategy vectors', built when
 the object is, and an all-``int`` tensor or vector is its own form, not
-a copy.
+a copy.  A profile whose maker already holds its reduced form (a grid's
+vertex profiles and barycenters, support enumeration's equilibria) is
+handed it by ``_profile`` and derives nothing.  :func:`gain_sums` is a
+gain table's integer core: the ``up`` flags need nothing else, so a
+table's Fractions are made only where one is reported.
 """
 
 from __future__ import annotations
@@ -229,8 +233,21 @@ class MixedProfile:
         return tuple(s for s, k in enumerate(self.numerators[player]) if k)
 
 
+_set_dist = MixedProfile.dist.__set__
 _set_numerators = MixedProfile.numerators.__set__
 _set_denominators = MixedProfile.denominators.__set__
+
+
+def _profile(dist, numerators, denominators) -> MixedProfile:
+    """A :class:`MixedProfile` handed its integer form instead of deriving
+    it: per player the numerators over their least common denominator,
+    reduced as ``__post_init__`` makes them.  Only for a ``dist`` known
+    valid, whose reduced form the caller already holds."""
+    sigma = object.__new__(MixedProfile)
+    _set_dist(sigma, dist)
+    _set_numerators(sigma, numerators)
+    _set_denominators(sigma, denominators)
+    return sigma
 
 
 def _integer_vector(vector) -> tuple[tuple[int, ...], int]:
@@ -390,29 +407,42 @@ def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
     and payoff tensor over its common denominator, so a player's gains
     share one denominator and only the reported values become Fractions.
     """
-    n = game.num_players
+    rows, lifted, total = gain_sums(game, sigma)
+    scales = game.payoff_scales
     den_all = math.prod(sigma.denominators)
-    gains = []
+    *best, total_value = _ratios(lifted + [total], math.lcm(*scales) * den_all)
+    return GainTable(
+        gains=tuple(_ratios(row, scale * den_all) for row, scale in zip(rows, scales)),
+        best=tuple(best),
+        total=total_value,
+        up=up_flags(lifted, total),
+    )
+
+
+def gain_sums(game: Game, sigma: MixedProfile) -> tuple[list, list[int], int]:
+    """:func:`gain_table`'s integers: per player the gains times ``scale *
+    den_all`` (``scale`` the player's payoff scale, ``den_all`` the product
+    of ``sigma``'s denominators), the best gains lifted onto the lcm of the
+    payoff scales times ``den_all``, and the total of those."""
+    rows = []
     best = []
     for nums, den, scale, devs in deviation_rows(game, sigma):
         # devs[s] * den is the deviation payoff to s times scale * den_all,
         # and own the expected payoff on that scale: devs' weighted average
         own = sum(map(operator.mul, nums, devs))
         row = [max(den * d - own, 0) for d in devs]
-        gains.append(_ratios(row, scale * den_all))
+        rows.append(row)
         best.append(max(row))
-    # best[i] / (scales[i] * den_all), summed over the lcm of the scales
     scales = game.payoff_scales
     lcm = math.lcm(*scales)
     lifted = [b * (lcm // scale) for b, scale in zip(best, scales)]
-    total = sum(lifted)
-    *best_values, total_value = _ratios(lifted + [total], lcm * den_all)
-    return GainTable(
-        gains=tuple(gains),
-        best=tuple(best_values),
-        total=total_value,
-        up=tuple((n + 1) * b > total for b in lifted),
-    )
+    return rows, lifted, sum(lifted)
+
+
+def up_flags(lifted: Sequence[int], total: int) -> tuple[bool, ...]:
+    """Per player, whether the lifted best gain beats ``total / (n + 1)``."""
+    n = len(lifted)
+    return tuple((n + 1) * b > total for b in lifted)
 
 
 def _ratios(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:

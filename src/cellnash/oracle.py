@@ -36,13 +36,14 @@ from .game import (
     Game,
     GainTable,
     MixedProfile,
+    _profile,
     check_eps,
     deviation_sums,
     gain_table,
 )
 from .linalg import affine_solution, eliminate
 from .scalars import Scalar
-from .subdivision import player_triangulations
+from .subdivision import lattice_profile, player_triangulations
 
 
 @dataclass(frozen=True)
@@ -97,11 +98,8 @@ def grid_min_regret(
                 if regret > worst[base + offset]:
                     worst[base + offset] = regret
     first = worst.index(min(worst))  # the first minimum, as a strict < keeps
-    profile = MixedProfile(
-        tuple(
-            tri.point(first // step % count)
-            for tri, step, count in zip(tris, steps, counts)
-        )
+    profile = lattice_profile(
+        tris, [first // step % count for step, count in zip(steps, counts)]
     )
     return OracleResult(
         profile=profile, max_regret=max(gain_table(game, profile).best), method="GRID"
@@ -154,10 +152,12 @@ def _mixtures(
     replies: int,
     other: tuple[int, ...],
     count: int,
-) -> tuple[list[tuple[Scalar, ...]], bool]:
+) -> tuple[list[tuple], bool]:
     """Mixtures over ``other`` that equalize ``payoffs`` across ``own``
     and leave every reply in the bitmask ``replies`` a best reply, each
-    embedded in ``count`` strategies, and whether the system is singular.
+    embedded in ``count`` strategies with its reduced integer form as
+    ``(mixture, numerators, denominator)``, and whether the system is
+    singular.
 
     ``payoffs[r][s]`` is the replying player's payoff for reply ``r``
     against the mixing player's strategy ``s``.  Unknowns are the weights
@@ -207,10 +207,14 @@ def _mixtures(
         terms = [(s, w) for s, w in zip(other, weights) if w]
         best = _best_replies([sum(row[s] * w for s, w in terms) for row in payoffs])
         if not replies & ~best:
+            # the mixture and its reduced integer form, embedded alike
+            g = math.gcd(den, *weights)
             mixture: list[Scalar] = [0] * count
+            nums = [0] * count
             for s, w in zip(other, weights):
                 mixture[s] = Fraction(w, den)
-            kept.append(tuple(mixture))
+                nums[s] = w // g
+            kept.append((tuple(mixture), tuple(nums), den // g))
     return kept, singular
 
 
@@ -244,11 +248,12 @@ def support_enumeration_2p(game: Game) -> SupportEnumerationResult:
     # row_best[b] is player 1's best replies to b, col_best[a] player 2's to a
     row_best = [_best_replies(t1[b::cols]) for b in range(cols)]
     col_best = [_best_replies(t2[a * cols : (a + 1) * cols]) for a in range(rows)]
-    found: set = set()
+    found: dict = {}  # each equilibrium's dist: its integer form
     degenerate = False
     for a, b in itertools.product(range(rows), range(cols)):
         if row_best[b] >> a & 1 and col_best[a] >> b & 1:
-            found.add((_unit(a, rows), _unit(b, cols)))
+            pure = (_unit(a, rows), _unit(b, cols))
+            found[pure] = pure, (1, 1)
             # x & (x - 1) is nonzero when the mask x has two bits or more
             if row_best[b] & (row_best[b] - 1) or col_best[a] & (col_best[a] - 1):
                 degenerate = True
@@ -262,10 +267,11 @@ def support_enumeration_2p(game: Game) -> SupportEnumerationResult:
             # from its family is a real equilibrium
             if ps and (q_singular or p_singular):
                 degenerate = True
-            # a set keeps the first of equal profiles: a pure equilibrium's
-            # int entries win over a boundary mixture's Fractions
-            found.update(itertools.product(ps, qs))
+            # setdefault keeps the first of equal profiles: a pure
+            # equilibrium's int entries win over a boundary mixture's Fractions
+            for (p, p_nums, p_den), (q, q_nums, q_den) in itertools.product(ps, qs):
+                found.setdefault((p, q), ((p_nums, q_nums), (p_den, q_den)))
     return SupportEnumerationResult(
-        equilibria=tuple(MixedProfile(key) for key in sorted(found)),
+        equilibria=tuple(_profile(key, *found[key]) for key in sorted(found)),
         degenerate=degenerate,
     )

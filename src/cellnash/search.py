@@ -15,10 +15,14 @@ reproduces.
 
 ``solve`` refines the grid geometrically, keeps the certificate whose
 barycenter has the smallest total gain, and stops once the barycenter's
-max regret reaches the target.  A stage with no certificate is recorded
-and refinement continues: coarse grids legitimately miss (a two-interval
-grid cannot certify matching pennies, whose equilibrium sits exactly on
-the one interior lattice point), while finer stages recover.
+max regret reaches the target.  A certificate is evaluated on its grids'
+integers: the barycenter sums lattice numerators, the ``up`` flags come
+from the gain tables' integer core, and the chosen barycenter's table is
+the report's final table, built once.  A stage with no certificate is
+recorded and refinement continues: coarse grids legitimately miss (a
+two-interval grid cannot certify matching pennies, whose equilibrium
+sits exactly on the one interior lattice point), while finer stages
+recover.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Optional, Sequence
 
-from . import scalars
 from .errors import BudgetExceeded, NoPreEquilibriumFound
 from .errors import ParameterOutOfRange, ResolutionZero
-from .game import Game, GainTable, MixedProfile, PureProfile, check_eps, gain_table
+from .game import Game, GainTable, MixedProfile, PureProfile, _profile, _ratios
+from .game import check_eps, gain_sums, gain_table, up_flags
 from .labeling import label_rows
 from .labeling import root_label  # noqa: F401  perfbench's tracer test reads search.root_label
 from .scalars import Scalar
@@ -150,29 +154,35 @@ def scan_cells(
 
 def representative(cert: PreEquilibriumCert) -> MixedProfile:
     """Barycenter of the cell: per player, the average of the factor
-    cell's vertices, exact."""
-    return MixedProfile(
-        tuple(
-            tuple(scalars.exact_div(sum(column), len(group)) for column in zip(*group))
-            for group in cert.cell.factor_vertices
-        )
-    )
+    cell's vertices, exact.  Each player's vertex numerators are summed
+    as integers over ``m * (d + 1)`` and reduced once."""
+    dist, numerators, denominators = [], [], []
+    for rows, m in cert.cell.lattice:
+        sums = [sum(column) for column in zip(*rows)]
+        scale = m * len(rows)
+        g = math.gcd(scale, *sums)
+        numerators.append(tuple(k // g for k in sums))
+        denominators.append(scale // g)
+        dist.append(_ratios(numerators[-1], denominators[-1]))
+    return _profile(tuple(dist), tuple(numerators), tuple(denominators))
 
 
 def classify_cell(game: Game, cell: ProductCell) -> CellClassification:
-    """Evaluate the ``up`` flags at every vertex profile and report which
-    case holds.  Diagnostics only — the search never branches on this."""
-    tables = [gain_table(game, profile) for profile in cell.vertex_profiles]
-    for i in range(game.num_players):
-        if all(table.up[i] for table in tables):
-            return CellClassification(case=PLAYER_UP_EVERYWHERE, player=i)
-    witnesses = []
-    for i in range(game.num_players):
-        for profile, table in zip(cell.vertex_profiles, tables):
-            if not table.up[i]:
-                witnesses.append(profile)
-                break
-    return CellClassification(case=SOME_PLAYER_NOT_UP, witnesses=tuple(witnesses))
+    """Evaluate the ``up`` flags at the vertex profiles and report which
+    case holds.  Diagnostics only — the search never branches on this.
+
+    The flags come from the gain tables' integer core; no table is built.
+    Profiles are read in order until every player has a witness, the
+    first profile where that player is not up; a player left without one
+    is up everywhere, and the lowest such player is reported."""
+    witnesses: list[Optional[MixedProfile]] = [None] * game.num_players
+    for profile in cell.vertex_profiles:
+        for i, up in enumerate(up_flags(*gain_sums(game, profile)[1:])):
+            if not up and witnesses[i] is None:
+                witnesses[i] = profile
+        if None not in witnesses:
+            return CellClassification(SOME_PLAYER_NOT_UP, witnesses=tuple(witnesses))
+    return CellClassification(PLAYER_UP_EVERYWHERE, player=witnesses.index(None))
 
 
 @dataclass(frozen=True)
@@ -234,6 +244,7 @@ def solve(
 
     records: list[StageRecord] = []
     final_profile: Optional[MixedProfile] = None  # the last chosen representative
+    final_table: Optional[GainTable] = None  # and its gain table
     m = m0
     for stage in range(max_stages):
         start = time.perf_counter()
@@ -249,7 +260,7 @@ def solve(
             # lexicographic order, and min keeps the first minimum on ties;
             # the candidates are lazy, so no list of gain tables is built
             reps = map(representative, certs)
-            cert, final_profile, table = min(
+            cert, final_profile, final_table = min(
                 ((c, rep, gain_table(game, rep)) for c, rep in zip(certs, reps)),
                 key=lambda candidate: candidate[2].total,
             )
@@ -257,8 +268,8 @@ def solve(
                 chosen_cell=cert.cell.factor,
                 classification=classify_cell(game, cert.cell),
                 representative=final_profile,
-                total_gain=table.total,
-                max_regret=max(table.best),
+                total_gain=final_table.total,
+                max_regret=max(final_table.best),
                 diameter=cell_diameter(cert.cell),
             )
         records.append(
@@ -280,7 +291,6 @@ def solve(
             resolutions_tried=[list(r.resolutions) for r in records],
             cells_scanned=sum(r.cells_scanned for r in records),
         )
-    final_table = gain_table(game, final_profile)  # recomputed from scratch
     return SolveReport(
         stages=tuple(records),
         final_profile=final_profile,

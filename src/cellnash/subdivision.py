@@ -4,9 +4,10 @@ A player's strategy simplex at resolution ``m`` is cut along the lattice
 of points ``k/m``, with integer numerators ``k >= 0`` summing to ``m``.
 Cells are built in those numerators.  Axis ``a`` in ``1..d`` moves one
 unit of mass from coordinate ``a - 1`` to coordinate ``a``.  From each
-lattice point with mass on coordinate 0, a depth-first walk on an
-explicit stack takes every axis once, and may take axis ``a`` only while
-coordinate ``a - 1`` holds mass.  The lowest unused axis always may, so
+lattice point with mass on coordinate 0, a depth-first walk takes every
+axis once, and may take axis ``a`` only while coordinate ``a - 1`` holds
+mass; it runs without recursion, on one point it steps and undoes in
+place.  The lowest unused axis always may, so
 no walk dead-ends and each finished walk is one cell: ``m**d`` simplices
 on ``C(m+d, d)`` lattice vertices, every cell with the same volume, and
 shared faces matching exactly — no hanging nodes.
@@ -19,7 +20,10 @@ One check, of resolutions and budget, comes before that memo.
 
 A product cell combines one cell per player; its vertex profiles are all
 combinations of the factor cells' vertices, which is exactly one profile
-per pure strategy combination.
+per pure strategy combination.  It keeps each factor's lattice numerators,
+so its vertex profiles take their integer forms straight from the grid
+(``k // g`` over ``m // g``, ``g = gcd(m, *k)``), and its diameter and
+barycenter are summed on integers and divided once.
 """
 
 from __future__ import annotations
@@ -28,10 +32,11 @@ import itertools
 import math
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from . import scalars
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -39,7 +44,7 @@ from .errors import (
     ParameterOutOfRange,
     ResolutionZero,
 )
-from .game import Game, MixedProfile, _cached
+from .game import Game, MixedProfile, _cached, _profile
 from .scalars import Scalar
 
 DEFAULT_BUDGET = 10_000_000
@@ -167,20 +172,31 @@ def _kuhn_grid(dim: int, m: int) -> Triangulation:
     for base in numerators:
         if base[0] == 0:
             continue
-        # each entry: a walk's point, the vertices it visited, its unused axes
-        stack = [(base, (index[base],), tuple(range(1, dim + 1)))]
-        while stack:
-            point, cell, unused = stack.pop()
-            if not unused:
-                cells.append(tuple(sorted(cell)))
-            for j, a in enumerate(unused):
-                if point[a - 1]:
-                    moved = list(point)
-                    moved[a - 1] -= 1
-                    moved[a] += 1
-                    step = tuple(moved)
-                    rest = unused[:j] + unused[j + 1 :]
-                    stack.append((step, cell + (index[step],), rest))
+        # one walk, changed in place: its point, the vertices it visited, the
+        # axes it took and which are free, and the lowest axis to try next
+        point, cell, taken, a = list(base), [index[base]], [], 1
+        free = [True] * (dim + 1)
+        while True:
+            while a <= dim and not (free[a] and point[a - 1]):
+                a += 1
+            if a <= dim:  # step along axis a
+                free[a] = False
+                point[a - 1] -= 1
+                point[a] += 1
+                cell.append(index[tuple(point)])
+                taken.append(a)
+                a = 1
+                continue
+            if len(taken) == dim:  # each step lowered the index
+                cells.append(tuple(reversed(cell)))
+            if not taken:
+                break
+            a = taken.pop()  # undo the last step, then try the axes after it
+            free[a] = True
+            point[a - 1] += 1
+            point[a] -= 1
+            cell.pop()
+            a += 1
     cells.sort()
     expected = m**dim
     assert len(cells) == expected, f"expected {expected} cells, built {len(cells)}"
@@ -195,12 +211,43 @@ class ProductCell:
 
     ``vertex_profiles`` holds every combination of factor-cell vertices in
     lexicographic order over the per-factor vertex positions; there are as
-    many of them as pure strategy combinations.
+    many of them as pure strategy combinations.  ``lattice`` holds, per
+    factor, its vertices' integer numerators and the denominator they
+    share (the grid's resolution), as :func:`build_product_cell` reads
+    them off the grids; it stays out of ``==`` and ``repr``, and a cell
+    built without it derives it from ``factor_vertices``.
     """
 
     factor: tuple[int, ...]  # cell index per player
     factor_vertices: tuple[tuple[tuple[Scalar, ...], ...], ...]  # per player
     vertex_profiles: tuple[MixedProfile, ...]
+    lattice: Optional[tuple[tuple[tuple[tuple[int, ...], ...], int], ...]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        if self.lattice is None:  # built by hand: read off the points
+            lattice = []
+            for group in self.factor_vertices:
+                nums, den = scalars.as_integers(sum(group, ()))
+                k = len(nums) // len(group)  # one row of k per vertex
+                lattice.append((tuple(zip(*[iter(nums)] * k)), den))
+            object.__setattr__(self, "lattice", tuple(lattice))
+
+
+def _vertex_form(tri: Triangulation, v: int) -> tuple:
+    # vertex v's point and its reduced integer form: k // g over m // g
+    k = tri.numerators[v]
+    g = math.gcd(tri.resolution, *k)
+    return tri.point(v), tuple(x // g for x in k), tri.resolution // g
+
+
+def lattice_profile(
+    triangulations: Sequence[Triangulation], vertices: Sequence[int]
+) -> MixedProfile:
+    """The profile at vertex ``vertices[i]`` of each grid, its integer form
+    read off the grids' numerators."""
+    return _profile(*zip(*map(_vertex_form, triangulations, vertices)))
 
 
 def build_product_cell(
@@ -208,7 +255,8 @@ def build_product_cell(
 ) -> ProductCell:
     """The product cell with cell ``factor[i]`` of player ``i``'s grid; a
     factor of the wrong length is a :class:`DimensionMismatch`, and a cell
-    index that is not an ``int`` in range an :class:`IndexOutOfRange`."""
+    index that is not an ``int`` in range an :class:`IndexOutOfRange`.
+    Each vertex profile gets its integer form straight from the grids."""
     factor = tuple(factor)
     if len(factor) != len(triangulations):
         raise DimensionMismatch(
@@ -217,15 +265,18 @@ def build_product_cell(
     for tri, c in zip(triangulations, factor):
         if type(c) is not int or not 0 <= c < len(tri.cells):
             raise IndexOutOfRange(f"cell index {c!r} out of range")
-    factor_vertices = tuple(
-        tuple(map(tri.point, tri.cells[c])) for tri, c in zip(triangulations, factor)
-    )
-    profiles = tuple(
-        MixedProfile(tuple(combo))
-        for combo in itertools.product(*factor_vertices)
-    )
+    cells = [tri.cells[c] for tri, c in zip(triangulations, factor)]
+    axes = [
+        [_vertex_form(tri, v) for v in cell] for tri, cell in zip(triangulations, cells)
+    ]
     return ProductCell(
-        factor=factor, factor_vertices=factor_vertices, vertex_profiles=profiles
+        factor=factor,
+        factor_vertices=tuple(tuple(point for point, _, _ in axis) for axis in axes),
+        vertex_profiles=tuple(_profile(*zip(*c)) for c in itertools.product(*axes)),
+        lattice=tuple(
+            (tuple(map(tri.numerators.__getitem__, cell)), tri.resolution)
+            for tri, cell in zip(triangulations, cells)
+        ),
     )
 
 
@@ -290,15 +341,14 @@ def cell_diameter(cell: ProductCell) -> float:
     """Largest Euclidean distance between two vertex profiles, over the
     concatenated strategy vectors.  Vertex profiles are all combinations
     of the factor cells' vertices, so the largest squared distance is the
-    sum of each factor's largest.  Returned as a float: diameters are
+    sum of each factor's largest.  Each is summed on the factor's lattice
+    numerators, over the square of their denominator, and the sum is
+    divided once, correctly rounded.  Returned as a float: diameters are
     square roots and generally irrational."""
-    worst: Scalar = 0
-    for group in cell.factor_vertices:
-        worst = worst + max(
-            (
-                sum((pa - pb) * (pa - pb) for pa, pb in zip(a, b))
-                for a, b in itertools.combinations(group, 2)
-            ),
-            default=0,
-        )
-    return math.sqrt(float(worst))
+    den = math.lcm(*(m * m for _, m in cell.lattice))
+    total = 0
+    for rows, m in cell.lattice:
+        pairs = itertools.combinations(rows, 2)
+        worst = max((sum((a - b) ** 2 for a, b in zip(*p)) for p in pairs), default=0)
+        total += worst * (den // (m * m))
+    return math.sqrt(total / den)

@@ -25,12 +25,12 @@ from itertools import zip_longest
 from typing import Sequence
 
 from .errors import DimensionMismatch, NotSinglePlayer, ParameterOutOfRange
-from .game import Game, MixedProfile
+from .game import Game
 from .labeling import grid_labels, root_motion
 from .linalg import determinant
 from . import scalars
 from .scalars import Scalar
-from .subdivision import Triangulation
+from .subdivision import Triangulation, lattice_profile
 
 Poly = tuple[Scalar, ...]  # coefficients, constant term first
 
@@ -155,7 +155,7 @@ def moved_cell_volume(
     cell = tri.cells[cell_index]
     for v in cell:
         if v not in points:
-            points[v] = root_motion(game, MixedProfile((tri.point(v),)), t).dist[0]
+            points[v] = root_motion(game, lattice_profile((tri,), (v,)), t).dist[0]
     value = determinant(_edges([points[v] for v in cell]))
     orientation = determinant(_edges([tri.numerators[v] for v in cell]))
     return value if orientation > 0 else -value

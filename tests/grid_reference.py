@@ -7,18 +7,22 @@ deviation profile that the reference gain table evaluates directly, and
 the per-profile grid scan that the oracle's shared-row scan replaced.
 The locator and the volume read a grid's lattice numerators and do
 their linear algebra with ``tests/linalg_reference.py``, not with the
-package's fraction-free core.
+package's fraction-free core.  The barycenter, diameter and cell
+classification here are the ``Fraction`` formulas the package's integer
+ones replaced: they read a cell's exact points and full gain tables.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from cellnash.errors import IndexOutOfRange
 from cellnash.game import Game, MixedProfile, check_profile, gain_table
-from cellnash.scalars import Scalar
+from cellnash.scalars import Scalar, exact_div
+from cellnash.search import PLAYER_UP_EVERYWHERE, SOME_PLAYER_NOT_UP
 from cellnash.subdivision import (
     ProductCell,
     Triangulation,
@@ -95,3 +99,44 @@ def grid_min_regret_reference(
             best_profile = profile
             best_regret = regret
     return best_profile, best_regret
+
+
+def reference_representative(cell: ProductCell) -> MixedProfile:
+    """Per player, the average of the factor cell's exact vertices."""
+    return MixedProfile(
+        tuple(
+            tuple(exact_div(sum(column), len(group)) for column in zip(*group))
+            for group in cell.factor_vertices
+        )
+    )
+
+
+def reference_cell_diameter(cell: ProductCell) -> float:
+    """Each factor's largest squared distance between exact vertices,
+    summed as a Fraction, then its square root."""
+    worst: Scalar = 0
+    for group in cell.factor_vertices:
+        worst = worst + max(
+            (
+                sum((pa - pb) * (pa - pb) for pa, pb in zip(a, b))
+                for a, b in itertools.combinations(group, 2)
+            ),
+            default=0,
+        )
+    return math.sqrt(float(worst))
+
+
+def reference_classification(game: Game, cell: ProductCell) -> tuple:
+    """``(case, witnesses, player)`` from a full gain table per vertex
+    profile, with witnesses as their ``dist``."""
+    tables = [gain_table(game, profile) for profile in cell.vertex_profiles]
+    for i in range(game.num_players):
+        if all(table.up[i] for table in tables):
+            return PLAYER_UP_EVERYWHERE, None, i
+    witnesses = []
+    for i in range(game.num_players):
+        for profile, table in zip(cell.vertex_profiles, tables):
+            if not table.up[i]:
+                witnesses.append(profile.dist)
+                break
+    return SOME_PLAYER_NOT_UP, tuple(witnesses), None

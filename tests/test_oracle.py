@@ -98,6 +98,9 @@ def test_grid_scan_matches_per_profile_reference():
         profile, regret = grid_min_regret_reference(game, m)
         assert result.profile == profile, (game.name, m)
         assert result.profile.dist == profile.dist
+        # the winner's integer form is read off the grids, as derived
+        assert result.profile.numerators == profile.numerators
+        assert result.profile.denominators == profile.denominators
         assert result.max_regret == regret and type(result.max_regret) is type(regret)
         assert result.method == "GRID"
     assert len(cases) > 120
@@ -253,6 +256,15 @@ def _payoff_draws(shape, count, kind):
             yield [[rng.randint(-4, 4) / 4 for _ in range(size)] for _ in range(2)]
 
 
+def _assert_forms_as_derived(result):
+    # each equilibrium is handed the reduced integer form of its mixtures;
+    # it must be the one MixedProfile derives from the same entries
+    for sigma in result.equilibria:
+        fresh = MixedProfile(sigma.dist)
+        assert sigma.numerators == fresh.numerators, sigma
+        assert sigma.denominators == fresh.denominators, sigma
+
+
 @pytest.mark.parametrize(
     "shape, count, kind",
     [
@@ -282,6 +294,7 @@ def test_support_enumeration_matches_pairwise_reference(shape, count, kind):
         result = support_enumeration_2p(game)
         assert _typed(result) == _typed(expected), payoffs
         assert result.degenerate == expected.degenerate, payoffs
+        _assert_forms_as_derived(result)
         degenerate += expected.degenerate
     if shape != (1, 1):  # a 1x1 game has no tie to flag
         assert degenerate > 0  # the draw reaches the singular systems too
@@ -326,6 +339,7 @@ def test_targeted_systems_match_the_reference(shape, payoffs, present):
     expected = reference_support_enumeration(game)
     assert _typed(result) == _typed(expected)
     assert result.degenerate == expected.degenerate
+    _assert_forms_as_derived(result)
     typed = [[(v, type(v)) for v in vec] for vec in present]
     assert typed in _typed(result)
 

@@ -35,7 +35,7 @@ from cellnash.search import (
     default_budget,
     scan_cells,
 )
-from cellnash.subdivision import build_product_cell
+from cellnash.subdivision import ProductCell, build_product_cell, cell_diameter
 
 from conftest import (
     BATTLE_OF_SEXES,
@@ -51,7 +51,12 @@ from conftest import (
     payoff_range,
     random_game,
 )
-from grid_reference import product_cells
+from grid_reference import (
+    product_cells,
+    reference_cell_diameter,
+    reference_classification,
+    reference_representative,
+)
 
 UNIFORM_2X2 = MixedProfile(
     ((Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 2), Fraction(1, 2)))
@@ -497,6 +502,9 @@ def test_solve_carries_last_certificate_over_empty_stages():
     assert not report.converged
     assert report.final_profile == report.stages[0].representative
     assert report.final_max_regret == Fraction(9, 4)
+    # the table carried from the stage that chose the profile
+    final = gain_table(BOUNDARY_TIE_GAME, report.final_profile)
+    assert report.final_gain_table == final
 
 
 def test_solve_validates_parameters(mp):
@@ -567,6 +575,63 @@ def test_regret_shrinks_across_stages():
 def test_final_gain_table_recomputed_from_profile(mp):
     report = solve(mp, Fraction(1, 10), m0=2)
     table = gain_table(mp, report.final_profile)
-    assert table.best == report.final_gain_table.best
+    assert table == report.final_gain_table
     assert max(table.best) == report.final_max_regret
     assert max_regret(mp, report.final_profile) == report.final_max_regret
+
+
+def assert_same_profile(fast, slow):
+    """Equal values, entry types and integer forms."""
+    assert fast == slow
+    assert [list(map(type, v)) for v in fast.dist] == [
+        list(map(type, v)) for v in slow.dist
+    ]
+    assert fast.numerators == slow.numerators
+    assert fast.denominators == slow.denominators
+
+
+def assert_cell_values_match_references(game, cell):
+    cert = PreEquilibriumCert(cell=cell, labels=(), resolutions=())
+    assert_same_profile(representative(cert), reference_representative(cell))
+    assert cell_diameter(cell) == reference_cell_diameter(cell)
+    found = classify_cell(game, cell)
+    witnesses = found.witnesses and tuple(w.dist for w in found.witnesses)
+    assert (found.case, witnesses, found.player) == reference_classification(game, cell)
+
+
+def test_certificate_values_match_their_fraction_formulas():
+    # barycenters, diameters and up flags run on the grids' integers
+    certs = 0
+    for game, m in label_corpus():
+        for cert in find_pre_equilibria(game, m):
+            assert_cell_values_match_references(game, cert.cell)
+            certs += 1
+    assert certs > 150
+
+
+@pytest.mark.parametrize("resolutions", [(2, 3), (4, 8), (3, 1)])
+def test_cell_values_match_their_fraction_formulas_across_resolutions(resolutions):
+    # each factor is averaged over its own resolution, and the squared
+    # diameters over different resolutions are summed exactly
+    rng = random.Random(FIXTURE_SEED)
+    for shape in ((2, 2), (2, 3), (3, 3)):
+        game = random_game(rng, shape)
+        for cell in product_cells(game, resolutions):
+            assert_cell_values_match_references(game, cell)
+
+
+def test_a_cell_built_by_hand_derives_its_lattice_form():
+    tris = player_triangulations(make_game((3, 2), ((0,) * 6, (0,) * 6)), (4, 6))
+    for factor in ((0, 0), (5, 3), (15, 5)):
+        built = build_product_cell(tris, factor)
+        bare = ProductCell(built.factor, built.factor_vertices, built.vertex_profiles)
+        assert bare == built and repr(bare) == repr(built)
+        assert "lattice" not in repr(built)
+        # the same points over the lcm of their denominators
+        for (rows, m), (bare_rows, den) in zip(built.lattice, bare.lattice):
+            assert [[Fraction(k, m) for k in r] for r in rows] == [
+                [Fraction(k, den) for k in r] for r in bare_rows
+            ]
+        cert = PreEquilibriumCert(cell=bare, labels=(), resolutions=(4, 6))
+        assert_same_profile(representative(cert), reference_representative(built))
+        assert cell_diameter(bare) == cell_diameter(built)

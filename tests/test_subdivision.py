@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cellnash import (
+    MixedProfile,
     build_product_cell,
     cell_diameter,
     errors,
@@ -365,6 +366,30 @@ def test_build_product_cell_orders_profiles_lexicographically():
     assert len(cell.vertex_profiles) == 4
     dists = [p.dist for p in cell.vertex_profiles]
     assert dists == sorted(dists)
+
+
+def assert_form_as_derived(profile):
+    fresh = MixedProfile(profile.dist)
+    assert profile.numerators == fresh.numerators
+    assert profile.denominators == fresh.denominators
+
+
+@pytest.mark.parametrize("dim", range(4))
+def test_vertex_profiles_carry_the_form_their_points_derive(dim):
+    # read off the grid as k // g over m // g, never derived from the points
+    for m in range(1, 9):
+        tri = triangulate(dim, m)
+        for c in range(len(tri.cells)):
+            for profile in build_product_cell((tri,), (c,)).vertex_profiles:
+                assert_form_as_derived(profile)
+        for v in range(len(tri.numerators)):
+            profile = subdivision.lattice_profile((tri,), (v,))
+            assert profile.dist == (tri.point(v),)
+            assert_form_as_derived(profile)
+    tris = (triangulate(dim, 6), triangulate(1, 4))
+    for factor in itertools.product(*(range(len(t.cells)) for t in tris)):
+        for profile in build_product_cell(tris, factor).vertex_profiles:
+            assert_form_as_derived(profile)
 
 
 def test_build_product_cell_refuses_bad_factors():
