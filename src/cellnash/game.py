@@ -16,7 +16,9 @@ tensors' and a :class:`MixedProfile` its strategy vectors', built when
 the object is, and an all-``int`` tensor or vector is its own form, not
 a copy.  A profile whose maker already holds its reduced form (a grid's
 vertex profiles and barycenters, support enumeration's equilibria) is
-handed it by ``_profile`` and derives nothing.  :func:`gain_sums` is a
+handed it by ``_profile`` and derives nothing; ``_reduced`` makes that
+form, and the entries, from numerators over a known denominator, one
+gcd per vector.  :func:`gain_sums` is a
 gain table's integer core: the ``up`` flags need nothing else, so a
 table's Fractions are made only where one is reported.
 """
@@ -185,8 +187,8 @@ class PureProfile:
             raise DimensionMismatch("pure profile length != player count")
         dists = []
         for s, count in zip(self.choices, game.shape):
-            if not 0 <= s < count:
-                raise IndexOutOfRange(f"strategy index {s} out of range")
+            if type(s) is not int or not 0 <= s < count:  # as Game.payoff
+                raise IndexOutOfRange(f"strategy index {s!r} out of range")
             dists.append(tuple(1 if t == s else 0 for t in range(count)))
         return MixedProfile(tuple(dists))
 
@@ -450,6 +452,15 @@ def _ratios(nums: Sequence[int], den: int) -> tuple[Scalar, ...]:
     if den == 1:
         return tuple(nums)
     return tuple(Fraction(k, den) if k % den else k // den for k in nums)
+
+
+def _reduced(nums: Sequence[int], den: int) -> tuple:
+    """The vector ``nums / den`` (numerators at least 0) as :func:`_profile`
+    takes it: its entries and its form reduced by ``g = gcd(den, *nums)``,
+    as ``MixedProfile.__post_init__`` makes it."""
+    g = math.gcd(den, *nums)
+    reduced, den = tuple(k // g for k in nums), den // g
+    return _ratios(reduced, den), reduced, den
 
 
 def max_regret(game: Game, sigma: MixedProfile) -> Scalar:

@@ -20,11 +20,17 @@ from .game import Game, GainTable, MixedProfile
 from .search import CellClassification, SolveReport, StageRecord
 
 
-def parse_game(text: str) -> Game:
+def _load_json(text: str, what: str) -> Any:
+    # ValueError: a JSONDecodeError or an over-long integer; RecursionError:
+    # nesting deeper than the interpreter's stack allows
     try:
-        raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
-        raise ParseError(f"invalid JSON: {exc}") from None
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid {what}JSON: {exc}") from None
+
+
+def parse_game(text: str) -> Game:
+    raw = _load_json(text, "")
     if not isinstance(raw, dict):
         raise ParseError("game file must be a JSON object")
     strategies = raw.get("strategies")
@@ -82,10 +88,7 @@ def serialize_game(game: Game) -> str:
 
 
 def parse_profile(text: str, game: Game) -> MixedProfile:
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
-        raise ParseError(f"invalid profile JSON: {exc}") from None
+    raw = _load_json(text, "profile ")
     if not isinstance(raw, list) or len(raw) != game.num_players:
         raise ParseError(
             f"profile must be a list of {game.num_players} strategy vectors"
@@ -169,10 +172,7 @@ def report_json(
 
 
 def load_report(text: str) -> dict:
-    try:
-        raw = json.loads(text)
-    except ValueError as exc:  # JSONDecodeError, or an over-long integer
-        raise ParseError(f"invalid report JSON: {exc}") from None
+    raw = _load_json(text, "report ")
     if not isinstance(raw, dict) or "final" not in raw:
         raise ParseError("report must be an object with a 'final' section")
     return raw

@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, NoPreEquilibriumFound
 from .errors import ParameterOutOfRange, ResolutionZero
-from .game import Game, GainTable, MixedProfile, PureProfile, _profile, _ratios
+from .game import Game, GainTable, MixedProfile, PureProfile, _profile, _reduced
 from .game import check_eps, gain_sums, gain_table, up_flags
 from .labeling import label_rows
 from .labeling import root_label  # noqa: F401  perfbench's tracer test reads search.root_label
@@ -156,15 +156,11 @@ def representative(cert: PreEquilibriumCert) -> MixedProfile:
     """Barycenter of the cell: per player, the average of the factor
     cell's vertices, exact.  Each player's vertex numerators are summed
     as integers over ``m * (d + 1)`` and reduced once."""
-    dist, numerators, denominators = [], [], []
-    for rows, m in cert.cell.lattice:
-        sums = [sum(column) for column in zip(*rows)]
-        scale = m * len(rows)
-        g = math.gcd(scale, *sums)
-        numerators.append(tuple(k // g for k in sums))
-        denominators.append(scale // g)
-        dist.append(_ratios(numerators[-1], denominators[-1]))
-    return _profile(tuple(dist), tuple(numerators), tuple(denominators))
+    forms = (
+        _reduced([sum(column) for column in zip(*rows)], m * len(rows))
+        for rows, m in cert.cell.lattice
+    )
+    return _profile(*zip(*forms))
 
 
 def classify_cell(game: Game, cell: ProductCell) -> CellClassification:

@@ -20,10 +20,12 @@ One check, of resolutions and budget, comes before that memo.
 
 A product cell combines one cell per player; its vertex profiles are all
 combinations of the factor cells' vertices, which is exactly one profile
-per pure strategy combination.  It keeps each factor's lattice numerators,
-so its vertex profiles take their integer forms straight from the grid
-(``k // g`` over ``m // g``, ``g = gcd(m, *k)``), and its diameter and
-barycenter are summed on integers and divided once.
+per pure strategy combination.  It holds its factor and, per factor, the
+grid's numerators of its vertices and the resolution, nothing else: its
+points and vertex profiles are made from those on each access, each
+profile's integer form straight from the grid (``k // g`` over
+``m // g``, ``g = gcd(m, *k)``), and its diameter and barycenter are
+summed on integers and divided once.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ import itertools
 import math
 import os
 from collections.abc import Iterable
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from . import scalars
 from .errors import (
     BudgetExceeded,
     DimensionMismatch,
@@ -44,7 +44,7 @@ from .errors import (
     ParameterOutOfRange,
     ResolutionZero,
 )
-from .game import Game, MixedProfile, _cached, _profile
+from .game import Game, MixedProfile, _cached, _profile, _ratios, _reduced
 from .scalars import Scalar
 
 DEFAULT_BUDGET = 10_000_000
@@ -103,10 +103,7 @@ class Triangulation:
 
     def point(self, v: int) -> tuple[Scalar, ...]:
         """Vertex ``v`` as an exact point, with ``int`` corners."""
-        m = self.resolution
-        return tuple(
-            0 if k == 0 else 1 if k == m else Fraction(k, m) for k in self.numerators[v]
-        )
+        return _ratios(self.numerators[v], self.resolution)
 
     @property
     def vertices(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -207,39 +204,30 @@ def _kuhn_grid(dim: int, m: int) -> Triangulation:
 
 @dataclass(frozen=True)
 class ProductCell:
-    """One grid cell per player, combined.
+    """One grid cell per player, combined: ``factor`` holds the cell index
+    per player, and ``lattice`` per factor its vertices' numerator rows
+    and the grid's resolution, their denominator, as
+    :func:`build_product_cell` reads them off the grids.
 
-    ``vertex_profiles`` holds every combination of factor-cell vertices in
-    lexicographic order over the per-factor vertex positions; there are as
-    many of them as pure strategy combinations.  ``lattice`` holds, per
-    factor, its vertices' integer numerators and the denominator they
-    share (the grid's resolution), as :func:`build_product_cell` reads
-    them off the grids; it stays out of ``==`` and ``repr``, and a cell
-    built without it derives it from ``factor_vertices``.
+    ``factor_vertices`` and ``vertex_profiles`` are made from ``lattice``
+    on each access, and kept nowhere.  ``vertex_profiles`` holds every
+    combination of factor-cell vertices in lexicographic order over the
+    per-factor vertex positions; there are as many of them as pure
+    strategy combinations.
     """
 
-    factor: tuple[int, ...]  # cell index per player
-    factor_vertices: tuple[tuple[tuple[Scalar, ...], ...], ...]  # per player
-    vertex_profiles: tuple[MixedProfile, ...]
-    lattice: Optional[tuple[tuple[tuple[tuple[int, ...], ...], int], ...]] = field(
-        default=None, repr=False, compare=False
-    )
+    factor: tuple[int, ...]
+    lattice: tuple[tuple[tuple[tuple[int, ...], ...], int], ...]
 
-    def __post_init__(self):
-        if self.lattice is None:  # built by hand: read off the points
-            lattice = []
-            for group in self.factor_vertices:
-                nums, den = scalars.as_integers(sum(group, ()))
-                k = len(nums) // len(group)  # one row of k per vertex
-                lattice.append((tuple(zip(*[iter(nums)] * k)), den))
-            object.__setattr__(self, "lattice", tuple(lattice))
+    @property
+    def factor_vertices(self) -> tuple[tuple[tuple[Scalar, ...], ...], ...]:
+        """Per player, its factor cell's vertices as exact points."""
+        return tuple(tuple(_ratios(row, m) for row in rows) for rows, m in self.lattice)
 
-
-def _vertex_form(tri: Triangulation, v: int) -> tuple:
-    # vertex v's point and its reduced integer form: k // g over m // g
-    k = tri.numerators[v]
-    g = math.gcd(tri.resolution, *k)
-    return tri.point(v), tuple(x // g for x in k), tri.resolution // g
+    @property
+    def vertex_profiles(self) -> tuple[MixedProfile, ...]:
+        axes = [[_reduced(row, m) for row in rows] for rows, m in self.lattice]
+        return tuple(_profile(*zip(*combo)) for combo in itertools.product(*axes))
 
 
 def lattice_profile(
@@ -247,7 +235,11 @@ def lattice_profile(
 ) -> MixedProfile:
     """The profile at vertex ``vertices[i]`` of each grid, its integer form
     read off the grids' numerators."""
-    return _profile(*zip(*map(_vertex_form, triangulations, vertices)))
+    forms = (
+        _reduced(tri.numerators[v], tri.resolution)
+        for tri, v in zip(triangulations, vertices)
+    )
+    return _profile(*zip(*forms))
 
 
 def build_product_cell(
@@ -255,8 +247,7 @@ def build_product_cell(
 ) -> ProductCell:
     """The product cell with cell ``factor[i]`` of player ``i``'s grid; a
     factor of the wrong length is a :class:`DimensionMismatch`, and a cell
-    index that is not an ``int`` in range an :class:`IndexOutOfRange`.
-    Each vertex profile gets its integer form straight from the grids."""
+    index that is not an ``int`` in range an :class:`IndexOutOfRange`."""
     factor = tuple(factor)
     if len(factor) != len(triangulations):
         raise DimensionMismatch(
@@ -265,17 +256,11 @@ def build_product_cell(
     for tri, c in zip(triangulations, factor):
         if type(c) is not int or not 0 <= c < len(tri.cells):
             raise IndexOutOfRange(f"cell index {c!r} out of range")
-    cells = [tri.cells[c] for tri, c in zip(triangulations, factor)]
-    axes = [
-        [_vertex_form(tri, v) for v in cell] for tri, cell in zip(triangulations, cells)
-    ]
     return ProductCell(
         factor=factor,
-        factor_vertices=tuple(tuple(point for point, _, _ in axis) for axis in axes),
-        vertex_profiles=tuple(_profile(*zip(*c)) for c in itertools.product(*axes)),
         lattice=tuple(
-            (tuple(map(tri.numerators.__getitem__, cell)), tri.resolution)
-            for tri, cell in zip(triangulations, cells)
+            (tuple(map(tri.numerators.__getitem__, tri.cells[c])), tri.resolution)
+            for tri, c in zip(triangulations, factor)
         ),
     )
 

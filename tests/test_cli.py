@@ -505,6 +505,27 @@ def test_python_dash_m_runs_the_cli():
         assert (proc.returncode, proc.stdout, proc.stderr) == (EXIT_OK, handle.read(), b"")
 
 
+def test_deeply_nested_input_is_one_parse_error(tmp_path):
+    # a game file or --profile nested 1,000 deep: one JSON error on stdout,
+    # no traceback on stderr
+    src = os.path.dirname(os.path.dirname(cellnash.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    deep = "[" * 1000 + "]" * 1000
+    game = tmp_path / "deep.json"
+    game.write_text(deep)
+    for argv in (
+        ["solve", str(game), "--eps", "0"],
+        ["eval", MP, "--profile", deep],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "cellnash", *argv],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_INPUT_ERROR, b"")
+        assert json.loads(proc.stdout)["error"]["code"] == "parse-error"
+
+
 def test_over_long_output_is_parameter_out_of_range(capsys, tmp_path):
     # each payoff parses (4300 digits), but the gain 18e4299 has 4301
     path = tmp_path / "big.json"

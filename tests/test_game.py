@@ -663,6 +663,18 @@ def test_payoff_refuses_indices_that_are_not_ints(mp):
             assert str(info.value) == f"strategy index {s!r} out of range"
 
 
+@pytest.mark.parametrize(
+    "s", [True, 0.0, "0", 2, -1], ids=["bool", "float", "str", "past-end", "negative"]
+)
+def test_pure_profile_refuses_what_payoff_refuses(mp, s):
+    # as_mixed keeps Game.payoff's rule: an int in range, nothing else
+    for choices in ((s, 0), (0, s)):
+        for call in (mp.payoff, lambda _, pure: PureProfile(pure).as_mixed(mp)):
+            with pytest.raises(errors.IndexOutOfRange) as info:
+                call(0, choices)
+            assert str(info.value) == f"strategy index {s!r} out of range"
+
+
 def test_game_and_profile_refuse_list_containers():
     # a list would leave the frozen object unhashable
     for names, message in (

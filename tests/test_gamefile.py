@@ -200,6 +200,17 @@ def test_load_report_rejects_non_reports():
         load_report("{nope")
 
 
+@pytest.mark.parametrize(
+    "open_, close", [("[", "]"), ('{"a": ', "}")], ids=["array", "object"]
+)
+def test_deeply_nested_json_is_a_parse_error(open_, close):
+    # json.loads raises RecursionError past the interpreter's stack limit
+    deep = open_ * 1000 + "1" + close * 1000
+    for load in (parse_game, lambda t: parse_profile(t, MATCHING_PENNIES), load_report):
+        with pytest.raises(errors.ParseError, match="maximum recursion depth"):
+            load(deep)
+
+
 def test_over_long_integers_are_parse_errors():
     # json.loads raises a plain ValueError past Python's 4300-digit limit
     huge = "1" * 5000

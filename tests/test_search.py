@@ -1,6 +1,7 @@
 """Certificate scan, cell classification, and the refinement loop."""
 
 import collections
+import dataclasses
 import itertools
 import math
 import random
@@ -620,18 +621,27 @@ def test_cell_values_match_their_fraction_formulas_across_resolutions(resolution
             assert_cell_values_match_references(game, cell)
 
 
-def test_a_cell_built_by_hand_derives_its_lattice_form():
+def test_a_cell_rebuilt_from_its_fields_is_the_same_cell():
+    # factor and lattice are the whole cell: ==, hash and repr read them
     tris = player_triangulations(make_game((3, 2), ((0,) * 6, (0,) * 6)), (4, 6))
-    for factor in ((0, 0), (5, 3), (15, 5)):
-        built = build_product_cell(tris, factor)
-        bare = ProductCell(built.factor, built.factor_vertices, built.vertex_profiles)
-        assert bare == built and repr(bare) == repr(built)
-        assert "lattice" not in repr(built)
-        # the same points over the lcm of their denominators
-        for (rows, m), (bare_rows, den) in zip(built.lattice, bare.lattice):
-            assert [[Fraction(k, m) for k in r] for r in rows] == [
-                [Fraction(k, den) for k in r] for r in bare_rows
-            ]
+    assert [f.name for f in dataclasses.fields(ProductCell)] == ["factor", "lattice"]
+    cells = [build_product_cell(tris, f) for f in ((0, 0), (5, 3), (15, 5))]
+    assert len(set(cells)) == len(cells)
+    for built in cells:
+        bare = ProductCell(built.factor, built.lattice)
+        assert bare == built and hash(bare) == hash(built)
+        assert repr(bare) == repr(built)
         cert = PreEquilibriumCert(cell=bare, labels=(), resolutions=(4, 6))
         assert_same_profile(representative(cert), reference_representative(built))
         assert cell_diameter(bare) == cell_diameter(built)
+
+
+def test_certificates_make_no_vertex_profiles_until_read(monkeypatch):
+    # the scan reads a cell's numerators off the grids; its profiles are
+    # made only when something reads them
+    made = count_calls(monkeypatch, subdivision, "_profile")
+    certs = find_pre_equilibria(BATTLE_OF_SEXES, 4)
+    assert certs and made == []
+    profiles = certs[0].cell.vertex_profiles
+    assert len(made) == len(profiles) == 4
+    assert certs[0].cell.vertex_profiles == profiles

@@ -374,22 +374,38 @@ def assert_form_as_derived(profile):
     assert profile.denominators == fresh.denominators
 
 
+def assert_cell_holds_the_grids_points(tris, factor):
+    # the points and profiles a cell makes are its grids' points, entry
+    # types included, and each profile's form is the one its dist derives
+    cell = build_product_cell(tris, factor)
+    points = tuple(
+        tuple(map(tri.point, tri.cells[c])) for tri, c in zip(tris, factor)
+    )
+    assert repr(cell.factor_vertices) == repr(points)
+    profiles = cell.vertex_profiles
+    assert repr([p.dist for p in profiles]) == repr(list(itertools.product(*points)))
+    for profile in profiles:
+        assert_form_as_derived(profile)
+
+
 @pytest.mark.parametrize("dim", range(4))
 def test_vertex_profiles_carry_the_form_their_points_derive(dim):
     # read off the grid as k // g over m // g, never derived from the points
     for m in range(1, 9):
         tri = triangulate(dim, m)
         for c in range(len(tri.cells)):
-            for profile in build_product_cell((tri,), (c,)).vertex_profiles:
-                assert_form_as_derived(profile)
+            assert_cell_holds_the_grids_points((tri,), (c,))
         for v in range(len(tri.numerators)):
             profile = subdivision.lattice_profile((tri,), (v,))
-            assert profile.dist == (tri.point(v),)
+            assert repr(profile.dist) == repr((tri.point(v),))
             assert_form_as_derived(profile)
-    tris = (triangulate(dim, 6), triangulate(1, 4))
-    for factor in itertools.product(*(range(len(t.cells)) for t in tris)):
-        for profile in build_product_cell(tris, factor).vertex_profiles:
-            assert_form_as_derived(profile)
+    for tris in (
+        (triangulate(dim, 6), triangulate(1, 4)),
+        (triangulate(1, 3), triangulate(dim, 4), triangulate(0, 5)),
+        (triangulate(dim, 12),),
+    ):
+        for factor in itertools.product(*(range(len(t.cells)) for t in tris)):
+            assert_cell_holds_the_grids_points(tris, factor)
 
 
 def test_build_product_cell_refuses_bad_factors():
