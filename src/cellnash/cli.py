@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import sys
 from typing import Optional, Sequence
@@ -31,6 +30,7 @@ from .gamefile import (
     parse_profile,
     profile_json,
     report_json,
+    to_json,
 )
 from .labeling import root_label
 from .oracle import grid_min_regret, support_enumeration_2p, verify_profile
@@ -55,7 +55,7 @@ def _read_game(path: str) -> Game:
 
 
 def _dumps(data: dict) -> str:
-    return json.dumps(data, indent=2) + "\n"
+    return to_json(data) + "\n"
 
 
 def _emit(data: dict) -> None:

@@ -18,9 +18,8 @@ a copy.  A profile whose maker already holds its reduced form (a grid's
 vertex profiles and barycenters, support enumeration's equilibria) is
 handed it by ``_profile`` and derives nothing; ``_reduced`` makes that
 form, and the entries, from numerators over a known denominator, one
-gcd per vector.  :func:`gain_sums` is a
-gain table's integer core: the ``up`` flags need nothing else, so a
-table's Fractions are made only where one is reported.
+gcd per vector.  A gain table's ``up`` flags need only its integer
+core, so a table's Fractions are made only where one is reported.
 """
 
 from __future__ import annotations
@@ -178,9 +177,15 @@ _set_strides = Game.strides.__set__
 
 @dataclass(frozen=True, slots=True)
 class PureProfile:
-    """One strategy index per player."""
+    """One strategy index per player; ``choices`` must be a tuple, else
+    :class:`ShapeError`."""
 
     choices: tuple[int, ...]
+
+    def __post_init__(self):
+        # a list would leave the frozen profile unhashable
+        if type(self.choices) is not tuple:
+            raise ShapeError(f"choices {self.choices!r} {_not_a_tuple(self.choices)}")
 
     def as_mixed(self, game: Game) -> MixedProfile:
         if len(self.choices) != game.num_players:
@@ -409,23 +414,6 @@ def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
     and payoff tensor over its common denominator, so a player's gains
     share one denominator and only the reported values become Fractions.
     """
-    rows, lifted, total = gain_sums(game, sigma)
-    scales = game.payoff_scales
-    den_all = math.prod(sigma.denominators)
-    *best, total_value = _ratios(lifted + [total], math.lcm(*scales) * den_all)
-    return GainTable(
-        gains=tuple(_ratios(row, scale * den_all) for row, scale in zip(rows, scales)),
-        best=tuple(best),
-        total=total_value,
-        up=up_flags(lifted, total),
-    )
-
-
-def gain_sums(game: Game, sigma: MixedProfile) -> tuple[list, list[int], int]:
-    """:func:`gain_table`'s integers: per player the gains times ``scale *
-    den_all`` (``scale`` the player's payoff scale, ``den_all`` the product
-    of ``sigma``'s denominators), the best gains lifted onto the lcm of the
-    payoff scales times ``den_all``, and the total of those."""
     rows = []
     best = []
     for nums, den, scale, devs in deviation_rows(game, sigma):
@@ -435,10 +423,19 @@ def gain_sums(game: Game, sigma: MixedProfile) -> tuple[list, list[int], int]:
         row = [max(den * d - own, 0) for d in devs]
         rows.append(row)
         best.append(max(row))
+    # best gains lifted onto the lcm of the payoff scales times den_all
     scales = game.payoff_scales
     lcm = math.lcm(*scales)
     lifted = [b * (lcm // scale) for b, scale in zip(best, scales)]
-    return rows, lifted, sum(lifted)
+    total = sum(lifted)
+    den_all = math.prod(sigma.denominators)
+    *best, total_value = _ratios(lifted + [total], lcm * den_all)
+    return GainTable(
+        gains=tuple(_ratios(row, scale * den_all) for row, scale in zip(rows, scales)),
+        best=tuple(best),
+        total=total_value,
+        up=up_flags(lifted, total),
+    )
 
 
 def up_flags(lifted: Sequence[int], total: int) -> tuple[bool, ...]:

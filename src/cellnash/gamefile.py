@@ -5,13 +5,15 @@ tensor per player (last player's strategy fastest).  Scalars accept
 integers and ``p/q`` or decimal strings; float literals are refused so
 nothing inexact sneaks in.  All serialization is key-ordered and numbers
 render as canonical fraction strings, which keeps repeat runs
-byte-identical.
+byte-identical.  :func:`to_json` writes every JSON text the package
+emits, byte for byte as ``json.dumps(data, indent=2)`` would.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import scalars
@@ -84,7 +86,54 @@ def serialize_game(game: Game) -> str:
             [scalars.format_scalar(v) for v in tensor] for tensor in game.payoffs
         ],
     }
-    return json.dumps(data, indent=2)
+    return to_json(data)
+
+
+def to_json(data) -> str:
+    """``data`` as ``json.dumps(data, indent=2)`` writes it, byte for byte,
+    without the pure-Python encoder that ``indent`` selects there.  It
+    takes ``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``, ``int``,
+    ``bool``, ``None`` and finite ``float`` (a subclass is written as its
+    base type); any other type is a ``TypeError``, and a NaN or infinity a
+    ``ValueError``."""
+    return _encode(data, "\n")
+
+
+def _encode(value, indent: str) -> str:
+    # indent: a newline and the spaces before this value's closing bracket
+    kind = type(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        # a key that is not a str is a TypeError in encode_basestring_ascii
+        items = [
+            encode_basestring_ascii(k) + ": " + _encode(v, inner)
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = [_encode(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    if kind is int:
+        return int.__repr__(value)
+    if kind is float:
+        if not math.isfinite(value):
+            raise ValueError(f"out of range float value {value!r} is not JSON compliant")
+        return float.__repr__(value)
+    for base in (str, int, float, dict, list, tuple):  # a subclass, as its base
+        if isinstance(value, base):
+            return _encode(base(value), indent)
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def parse_profile(text: str, game: Game) -> MixedProfile:

@@ -16,13 +16,13 @@ reproduces.
 ``solve`` refines the grid geometrically, keeps the certificate whose
 barycenter has the smallest total gain, and stops once the barycenter's
 max regret reaches the target.  A certificate is evaluated on its grids'
-integers: the barycenter sums lattice numerators, the ``up`` flags come
-from the gain tables' integer core, and the chosen barycenter's table is
-the report's final table, built once.  A stage with no certificate is
-recorded and refinement continues: coarse grids legitimately miss (a
-two-interval grid cannot certify matching pennies, whose equilibrium
-sits exactly on the one interior lattice point), while finer stages
-recover.
+integers: the barycenter sums lattice numerators, the ``up`` flags are
+the gain tables' integer core summed on those numerators, and the chosen
+barycenter's table is the report's final table, built once.  A stage
+with no certificate is recorded and refinement continues: coarse grids
+legitimately miss (a two-interval grid cannot certify matching pennies,
+whose equilibrium sits exactly on the one interior lattice point), while
+finer stages recover.
 """
 
 from __future__ import annotations
@@ -35,10 +35,10 @@ from dataclasses import dataclass
 from functools import partial, reduce
 from typing import Optional, Sequence
 
-from .errors import BudgetExceeded, NoPreEquilibriumFound
+from .errors import BudgetExceeded, DimensionMismatch, NoPreEquilibriumFound
 from .errors import ParameterOutOfRange, ResolutionZero
 from .game import Game, GainTable, MixedProfile, PureProfile, _profile, _reduced
-from .game import check_eps, gain_sums, gain_table, up_flags
+from .game import check_eps, deviation_sums, gain_table, up_flags
 from .labeling import label_rows
 from .labeling import root_label  # noqa: F401  perfbench's tracer test reads search.root_label
 from .scalars import Scalar
@@ -167,17 +167,47 @@ def classify_cell(game: Game, cell: ProductCell) -> CellClassification:
     """Evaluate the ``up`` flags at the vertex profiles and report which
     case holds.  Diagnostics only — the search never branches on this.
 
-    The flags come from the gain tables' integer core; no table is built.
-    Profiles are read in order until every player has a witness, the
-    first profile where that player is not up; a player left without one
-    is up everywhere, and the lowest such player is reported."""
-    witnesses: list[Optional[MixedProfile]] = [None] * game.num_players
-    for profile in cell.vertex_profiles:
-        for i, up in enumerate(up_flags(*gain_sums(game, profile)[1:])):
+    The flags are :func:`~cellnash.game.gain_table`'s integer core summed
+    on the cell's lattice numerators over each grid's ``m``, unreduced:
+    that scales every player's gains by one positive factor, the product
+    of ``m / den`` over the players, so no flag changes.  Vertex profiles
+    are read in order until every player has a witness, the first profile
+    where that player is not up, and only the witnesses become profiles;
+    a player left without one is up everywhere, and the lowest such
+    player is reported.  A cell whose strategy counts are not the game's
+    is a :class:`DimensionMismatch`."""
+    shape = tuple(len(rows[0]) for rows, _ in cell.lattice)
+    if shape != game.shape:
+        raise DimensionMismatch(f"cell of shape {shape} for a game of shape {game.shape}")
+    lcm = math.lcm(*game.payoff_scales)
+    # per player, each vertex's numerators and supported (offset, numerator) pairs
+    axes = [
+        [(row, [(s * stride, k) for s, k in enumerate(row) if k]) for row in rows]
+        for (rows, _), stride in zip(cell.lattice, game.strides)
+    ]
+    players = [
+        (tensor, lcm // scale, m, range(0, count * stride, stride))
+        for tensor, scale, (_, m), count, stride in zip(
+            game.integer_payoffs, game.payoff_scales, cell.lattice, game.shape, game.strides
+        )
+    ]
+    witnesses: list[Optional[tuple]] = [None] * game.num_players
+    for combo in itertools.product(*axes):
+        rows, supports = zip(*combo)
+        lifted = []
+        for i, (tensor, lift, m, offsets) in enumerate(players):
+            devs = deviation_sums(tensor, supports[:i] + supports[i + 1 :], offsets)
+            # gain_table's best gain; the weights sum to m, so it is never negative
+            lifted.append((m * max(devs) - sum(map(operator.mul, rows[i], devs))) * lift)
+        for i, up in enumerate(up_flags(lifted, sum(lifted))):
             if not up and witnesses[i] is None:
-                witnesses[i] = profile
+                witnesses[i] = rows
         if None not in witnesses:
-            return CellClassification(SOME_PLAYER_NOT_UP, witnesses=tuple(witnesses))
+            dens = [m for _, m in cell.lattice]
+            profiles = {w: _profile(*zip(*map(_reduced, w, dens))) for w in witnesses}
+            return CellClassification(
+                SOME_PLAYER_NOT_UP, witnesses=tuple(map(profiles.__getitem__, witnesses))
+            )
     return CellClassification(PLAYER_UP_EVERYWHERE, player=witnesses.index(None))
 
 

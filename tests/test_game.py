@@ -693,5 +693,14 @@ def test_game_and_profile_refuse_list_containers():
     ):
         with pytest.raises(errors.InvalidDistribution, match=re.escape(message)):
             MixedProfile(dist)
+    for choices, message in (
+        ([0, 1], "choices [0, 1] is a list, not a tuple"),
+        (range(2), "choices range(0, 2) is a range, not a tuple"),
+        (0, "choices 0 is not a sequence"),
+    ):
+        with pytest.raises(errors.ShapeError) as info:
+            PureProfile(choices)
+        assert str(info.value) == message
     hash(Game((("a", "b"),), ((1, 2),)))
     hash(MixedProfile(((1, 0),)))
+    assert hash(PureProfile((0, 1))) == hash(PureProfile((0, 1)))

@@ -1,12 +1,17 @@
 """Game file parsing, serialization round-trips, and report JSON."""
 
+import collections
+import enum
 import json
 from fractions import Fraction
 
 import pytest
 
 from cellnash import (
+    Game,
+    cell_diameter,
     errors,
+    find_pre_equilibria,
     gain_table,
     load_report,
     parse_game,
@@ -15,7 +20,7 @@ from cellnash import (
     serialize_game,
     solve,
 )
-from cellnash.gamefile import gain_table_json, profile_json
+from cellnash.gamefile import gain_table_json, profile_json, to_json
 
 from conftest import MATCHING_PENNIES, NAMED_GAMES, make_game
 
@@ -220,3 +225,55 @@ def test_over_long_integers_are_parse_errors():
         parse_profile("[[%s, 0], [1, 0]]" % huge, MATCHING_PENNIES)
     with pytest.raises(errors.ParseError):
         load_report('{"final": %s}' % huge)
+
+
+class Name(str):
+    pass
+
+
+class Count(enum.IntEnum):
+    ONE = 1
+
+
+def test_to_json_writes_what_json_dumps_writes():
+    cert = find_pre_equilibria(MATCHING_PENNIES, 4)[0]
+    odd = 'q"b\\s\x00\x1f\t\n\u2028\u00e9\U0001f600\x7f'
+    cases = [
+        {},
+        [],
+        (),
+        "",
+        {"a": {}, "b": [], "c": [[], {}, [[]]], "d": {"e": {}}},
+        [(1, "x"), ((),), ("y", (2.5, None))],
+        {odd: [odd, {odd: odd}], "": ""},
+        [0.1, 1e-300, -0.0, 1e300, 5e-324, 2.0, cell_diameter(cert.cell)],
+        [2**64, -(2**64) - 1, 10**100, 0, -1],
+        [True, False, None, {"t": True, "n": None}],
+        report_json(solve(FLOAT_GAME, 0), FLOAT_GAME, include_timing=True),
+        json.loads(serialize_game(MATCHING_PENNIES)),
+        # subclasses, written as their base types
+        [Name("x"), {Name("k"): Name("v")}, Count.ONE, collections.OrderedDict(a=[1])],
+    ]
+    for data in cases:
+        assert to_json(data) == json.dumps(data, indent=2)
+    game = make_game((2,), ((0, 1),), odd)
+    named = parse_game(MP_JSON.replace('"H"', json.dumps(odd)))
+    subclassed = Game(((Name("a"), "b"),), ((0, 1),), Name("n"))
+    for g in (game, named, subclassed):
+        assert parse_game(serialize_game(g)) == g
+
+
+@pytest.mark.parametrize(
+    "data",
+    [{1, 2}, Fraction(1, 2), [Fraction(1, 2)], {"a": {1}}, {1: "a"}, b"x", int],
+    ids=["set", "Fraction", "nested-Fraction", "nested-set", "int-key", "bytes", "type"],
+)
+def test_to_json_refuses_other_types(data):
+    with pytest.raises(TypeError):
+        to_json(data)
+
+
+def test_to_json_refuses_non_finite_floats():
+    for value in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError):
+            to_json([value])

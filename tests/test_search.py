@@ -284,6 +284,14 @@ def test_scan_refuses_mismatched_triangulations(case):
         scan_cells(game, tris)
 
 
+@pytest.mark.parametrize("case", range(len(mismatched_grids())))
+def test_classify_refuses_a_cell_of_another_shape(case):
+    game, tris = mismatched_grids()[case]
+    cell = build_product_cell(tris, (0,) * len(tris))
+    with pytest.raises(errors.DimensionMismatch):
+        classify_cell(game, cell)
+
+
 def test_full_cell_at_m1_is_always_a_cert(mp, pd, bos):
     # pure vertex profiles label themselves, giving the identity bijection
     for game in (mp, pd, bos):
@@ -608,6 +616,26 @@ def test_certificate_values_match_their_fraction_formulas():
             assert_cell_values_match_references(game, cert.cell)
             certs += 1
     assert certs > 150
+
+
+def test_classification_matches_its_reference_on_every_product_cell():
+    # certificates alone seldom reach the up-everywhere case or wide payoffs
+    cases = collections.Counter()
+    for game, m in label_corpus():
+        if m > 3:
+            continue
+        for cell in product_cells(game, m):
+            found = classify_cell(game, cell)
+            witnesses = found.witnesses and tuple(w.dist for w in found.witnesses)
+            expected = reference_classification(game, cell)
+            assert (found.case, witnesses, found.player) == expected
+            if found.witnesses:
+                for witness, dist in zip(found.witnesses, expected[1]):
+                    assert_same_profile(witness, MixedProfile(dist))
+            cases[found.case, "wide" in game.name] += 1
+    assert sum(cases.values()) > 1300
+    assert cases[PLAYER_UP_EVERYWHERE, False] > 500
+    assert cases[PLAYER_UP_EVERYWHERE, True] > 0 and cases[SOME_PLAYER_NOT_UP, True] > 0
 
 
 @pytest.mark.parametrize("resolutions", [(2, 3), (4, 8), (3, 1)])
