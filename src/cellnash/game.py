@@ -18,8 +18,8 @@ a copy.  A profile whose maker already holds its reduced form (a grid's
 vertex profiles and barycenters, support enumeration's equilibria) is
 handed it by ``_profile`` and derives nothing; ``_reduced`` makes that
 form, and the entries, from numerators over a known denominator, one
-gcd per vector.  A gain table's ``up`` flags need only its integer
-core, so a table's Fractions are made only where one is reported.
+gcd per vector.  Every gain reads one integer core, ``_rows``, whose
+best gains the search reads lifted onto one scale, ``_lifted_gains``.
 """
 
 from __future__ import annotations
@@ -75,9 +75,10 @@ class Game:
     ``payoffs[i]`` is player ``i``'s tensor flattened row-major with the
     last player's strategy varying fastest.  ``strategy_names``, each of
     its name groups, ``payoffs`` and each tensor must be tuples, else
-    :class:`ShapeError`.  A payoff is an ``int`` (``bool`` included), a
-    ``Fraction`` or a finite float: anything else, NaN and the infinities
-    included, is a :class:`ParseError`.
+    :class:`ShapeError`.  ``name`` and every strategy name must be a
+    ``str``, and a payoff an ``int`` (``bool`` included), a ``Fraction``
+    or a finite float: anything else, NaN and the infinities included, is
+    a :class:`ParseError`.
 
     ``integer_payoffs[i]`` and ``payoff_scales[i]`` are player ``i``'s
     tensor as integer numerators over their least common denominator,
@@ -99,11 +100,15 @@ class Game:
             raise ShapeError(f"strategy_names {_not_a_tuple(self.strategy_names)}")
         if not self.strategy_names:
             raise ShapeError("a game needs at least one player")
-        for names in self.strategy_names:
+        if not isinstance(self.name, str):
+            raise ParseError("field 'name' must be a string")
+        for i, names in enumerate(self.strategy_names):
             if type(names) is not tuple:
                 raise ShapeError(f"strategy names {names!r} {_not_a_tuple(names)}")
             if not names:
                 raise ShapeError("every player needs at least one strategy")
+            if not all(isinstance(s, str) for s in names):
+                raise ParseError(f"strategies[{i}] must contain strings")
             if len(set(names)) != len(names):
                 raise ShapeError(f"duplicate strategy names in {names}")
         shape = tuple(len(names) for names in self.strategy_names)
@@ -150,19 +155,19 @@ class Game:
         return len(self.strategy_names)
 
     def payoff(self, player: int, pure: Sequence[int]) -> Scalar:
-        """Payoff to ``player`` at a pure strategy combination; an index
-        that is not an ``int`` is out of range."""
+        """Payoff to ``player`` at a pure strategy combination."""
         _check_player(self, player)
+        return self.payoffs[player][self.flat_index(pure)]
+
+    def flat_index(self, pure: Sequence[int]) -> int:
+        """A pure combination's position in the tensors: one ``int`` in
+        range per player, else a DimensionMismatch or IndexOutOfRange."""
+        if len(pure) != len(self.shape):
+            raise DimensionMismatch("pure profile length != player count")
         idx = 0
         for stride, s, count in zip(self.strides, pure, self.shape):
             if type(s) is not int or not 0 <= s < count:
                 raise IndexOutOfRange(f"strategy index {s!r} out of range")
-            idx += stride * s
-        return self.payoffs[player][idx]
-
-    def flat_index(self, pure: Sequence[int]) -> int:
-        idx = 0
-        for stride, s in zip(self.strides, pure):
             idx += stride * s
         return idx
 
@@ -319,7 +324,7 @@ def evaluate_payoff(game: Game, sigma: MixedProfile, player: int) -> Scalar:
     check_profile(game, sigma)
     _check_player(game, player)
     tensor = game.integer_payoffs[player]
-    (total,) = deviation_sums(tensor, _supports(game, sigma), [0])
+    (total,) = deviation_sums(tensor, _supports(game, sigma.numerators), [0])
     den = game.payoff_scales[player] * math.prod(sigma.denominators)
     return scalars.exact_div(total, den)
 
@@ -329,7 +334,7 @@ def deviation_payoffs(game: Game, sigma: MixedProfile, player: int) -> tuple[Sca
     computed in one pass over the other players' supports, on integers."""
     check_profile(game, sigma)
     _check_player(game, player)
-    others = _supports(game, sigma)
+    others = _supports(game, sigma.numerators)
     del others[player]
     stride = game.strides[player]
     offsets = range(0, game.shape[player] * stride, stride)
@@ -338,11 +343,11 @@ def deviation_payoffs(game: Game, sigma: MixedProfile, player: int) -> tuple[Sca
     return _ratios(devs, game.payoff_scales[player] * math.prod(dens) // dens[player])
 
 
-def _supports(game: Game, sigma: MixedProfile) -> list[list[tuple[int, int]]]:
+def _supports(game: Game, numerators) -> list[list[tuple[int, int]]]:
     # per player, the (tensor offset, numerator) pairs of the supported strategies
     return [
         [(s * stride, k) for s, k in enumerate(nums) if k]
-        for nums, stride in zip(sigma.numerators, game.strides)
+        for nums, stride in zip(numerators, game.strides)
     ]
 
 
@@ -372,25 +377,16 @@ def deviation_sums(
     return out
 
 
-def deviation_rows(game: Game, sigma: MixedProfile) -> Iterator[tuple]:
-    """Per player, in order, ``(nums, den, scale, devs)``: weights
-    ``nums[s] / den``, the payoff tensor's common denominator ``scale``,
-    and ``devs[s]``, the deviation payoff to ``s`` times ``scale`` and
-    every other player's ``den``.  That factor is positive and shared, so
-    argmins and ties are exact.
-
-    The shapes are checked at once; each player's row is summed when it
-    is reached, from the integer forms ``game`` and ``sigma`` keep.
-    """
-    check_profile(game, sigma)
-    return _rows(game, sigma)
-
-
-def _rows(game: Game, sigma: MixedProfile) -> Iterator[tuple]:
-    supports = _supports(game, sigma)
+def _rows(game: Game, numerators, denominators) -> Iterator[tuple]:
+    """Per player, lazily, ``(nums, den, scale, devs)`` at the weights
+    ``nums[s] / den`` (reduced or not; shapes unchecked): ``scale`` the
+    payoff tensor's denominator and ``devs[s]`` the deviation payoff to
+    ``s`` times ``scale`` and every other ``den``, a positive shared
+    factor that keeps argmins and ties exact."""
+    supports = _supports(game, numerators)
     players = zip(
-        sigma.numerators,
-        sigma.denominators,
+        numerators,
+        denominators,
         game.integer_payoffs,
         game.payoff_scales,
         game.shape,
@@ -402,6 +398,19 @@ def _rows(game: Game, sigma: MixedProfile) -> Iterator[tuple]:
         yield nums, den, scale, devs
 
 
+def _lifted_gains(game: Game, rows) -> list[int]:
+    """Per player, the best gain ``den * max(devs) - own`` of one of
+    :func:`_rows`' rows (at least 0: ``own`` weighs ``devs`` by ``nums``,
+    which sum to ``den``) times ``lcm(payoff scales) // scale``: the best
+    gain times ``lcm * prod(den)``, a factor shared by every player and
+    every profile over the same denominators."""
+    lcm = math.lcm(*game.payoff_scales)
+    return [
+        (den * max(devs) - sum(map(operator.mul, nums, devs))) * (lcm // scale)
+        for nums, den, scale, devs in rows
+    ]
+
+
 def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
     """Deviation gains at ``sigma``.
 
@@ -410,32 +419,26 @@ def gain_table(game: Game, sigma: MixedProfile) -> GainTable:
     largest such gain, ``total`` their sum over players, and ``up[i]``
     says whether ``best[i]`` strictly exceeds ``total / (n + 1)``.
 
-    Sums run on integers, in :func:`deviation_rows`: each strategy vector
-    and payoff tensor over its common denominator, so a player's gains
-    share one denominator and only the reported values become Fractions.
+    Sums run on integers, in :func:`_rows`: each strategy vector and
+    payoff tensor over its common denominator, so a player's gains share
+    one denominator and only the reported values become Fractions; the
+    best gains are :func:`_lifted_gains`.
     """
-    rows = []
-    best = []
-    for nums, den, scale, devs in deviation_rows(game, sigma):
+    check_profile(game, sigma)
+    rows = list(_rows(game, sigma.numerators, sigma.denominators))
+    lifted = _lifted_gains(game, rows)
+    total = sum(lifted)
+    den_all = math.prod(sigma.denominators)
+    lcm = math.lcm(*game.payoff_scales)
+    *best, total_value = _ratios(lifted + [total], lcm * den_all)
+    gains = []
+    for nums, den, scale, devs in rows:
         # devs[s] * den is the deviation payoff to s times scale * den_all,
         # and own the expected payoff on that scale: devs' weighted average
         own = sum(map(operator.mul, nums, devs))
-        row = [max(den * d - own, 0) for d in devs]
-        rows.append(row)
-        best.append(max(row))
-    # best gains lifted onto the lcm of the payoff scales times den_all
-    scales = game.payoff_scales
-    lcm = math.lcm(*scales)
-    lifted = [b * (lcm // scale) for b, scale in zip(best, scales)]
-    total = sum(lifted)
-    den_all = math.prod(sigma.denominators)
-    *best, total_value = _ratios(lifted + [total], lcm * den_all)
-    return GainTable(
-        gains=tuple(_ratios(row, scale * den_all) for row, scale in zip(rows, scales)),
-        best=tuple(best),
-        total=total_value,
-        up=up_flags(lifted, total),
-    )
+        gains.append(_ratios([max(den * d - own, 0) for d in devs], scale * den_all))
+    up = up_flags(lifted, total)
+    return GainTable(gains=tuple(gains), best=tuple(best), total=total_value, up=up)
 
 
 def up_flags(lifted: Sequence[int], total: int) -> tuple[bool, ...]:
@@ -470,13 +473,14 @@ def is_equilibrium(game: Game, sigma: MixedProfile, eps: Scalar) -> bool:
 
     Pure deviations suffice: a mixed deviation's payoff is an average of
     pure ones, so its gain never beats the best pure gain.  The test runs
-    on :func:`deviation_rows`' integers, with ``eps`` read as the exact
+    on :func:`_rows`' integers, with ``eps`` read as the exact
     ratio it holds (a float's binary value); no gain table is built, and
     the rows are summed one player at a time, stopping at the first
     player that can gain more.
     """
     check_eps(eps)
-    rows = deviation_rows(game, sigma)
+    check_profile(game, sigma)
+    rows = _rows(game, sigma.numerators, sigma.denominators)
     den_all = math.prod(sigma.denominators)
     num, den_eps = eps.as_integer_ratio()
     # as in gain_table: den * max(devs) - own is the best gain times

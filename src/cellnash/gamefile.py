@@ -72,8 +72,6 @@ def parse_game(text: str) -> Game:
                 raise ParseError(f"payoffs[{i}][{j}]: {exc}") from None
         tensors.append(tuple(parsed))
     name = raw.get("name", "")
-    if not isinstance(name, str):
-        raise ParseError("field 'name' must be a string")
     return Game(strategy_names=tuple(names), payoffs=tuple(tensors), name=name)
 
 

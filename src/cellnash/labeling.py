@@ -43,8 +43,9 @@ from .game import (
     Game,
     MixedProfile,
     PureProfile,
+    _rows,
+    check_profile,
     deviation_payoffs,
-    deviation_rows,
     evaluate_payoff,
 )
 from . import scalars
@@ -56,13 +57,15 @@ def root_label(game: Game, sigma: MixedProfile) -> PureProfile:
     """Per player, the supported strategy with the smallest deviation
     payoff (lowest index on ties).
 
-    The deviation payoffs are :func:`~cellnash.game.deviation_rows`,
-    the integer rows :func:`~cellnash.game.gain_table` reads: each is a
-    positive multiple of the exact row, which keeps every argmin and tie.
+    The deviation payoffs are the integer rows
+    :func:`~cellnash.game.gain_table` reads: each is a positive multiple
+    of the exact row, which keeps every argmin and tie.
     """
+    check_profile(game, sigma)
+    rows = _rows(game, sigma.numerators, sigma.denominators)
     choices = [
         min(sigma.support(i), key=devs.__getitem__)  # first minimum wins
-        for i, (_, _, _, devs) in enumerate(deviation_rows(game, sigma))
+        for i, (*_, devs) in enumerate(rows)
     ]
     return PureProfile(tuple(choices))
 

@@ -16,13 +16,13 @@ reproduces.
 ``solve`` refines the grid geometrically, keeps the certificate whose
 barycenter has the smallest total gain, and stops once the barycenter's
 max regret reaches the target.  A certificate is evaluated on its grids'
-integers: the barycenter sums lattice numerators, the ``up`` flags are
-the gain tables' integer core summed on those numerators, and the chosen
-barycenter's table is the report's final table, built once.  A stage
-with no certificate is recorded and refinement continues: coarse grids
-legitimately miss (a two-interval grid cannot certify matching pennies,
-whose equilibrium sits exactly on the one interior lattice point), while
-finer stages recover.
+integers: the pick totals the lifted best gains at each barycenter's
+lattice numerator sums, unreduced over ``m * (d_i + 1)``, one scale for
+the whole stage; only the winner becomes a profile and a gain table.  A
+stage with no certificate is recorded and refinement continues: coarse
+grids legitimately miss (a two-interval grid cannot certify matching
+pennies, whose equilibrium sits exactly on the one interior lattice
+point), while finer stages recover.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from typing import Optional, Sequence
 
 from .errors import BudgetExceeded, DimensionMismatch, NoPreEquilibriumFound
 from .errors import ParameterOutOfRange, ResolutionZero
-from .game import Game, GainTable, MixedProfile, PureProfile, _profile, _reduced
-from .game import check_eps, deviation_sums, gain_table, up_flags
+from .game import Game, GainTable, MixedProfile, PureProfile, _lifted_gains, _profile
+from .game import _reduced, _rows, check_eps, gain_table, up_flags
 from .labeling import label_rows
 from .labeling import root_label  # noqa: F401  perfbench's tracer test reads search.root_label
 from .scalars import Scalar
@@ -156,54 +156,44 @@ def representative(cert: PreEquilibriumCert) -> MixedProfile:
     """Barycenter of the cell: per player, the average of the factor
     cell's vertices, exact.  Each player's vertex numerators are summed
     as integers over ``m * (d + 1)`` and reduced once."""
-    forms = (
-        _reduced([sum(column) for column in zip(*rows)], m * len(rows))
-        for rows, m in cert.cell.lattice
-    )
-    return _profile(*zip(*forms))
+    return _profile(*zip(*map(_reduced, *_barycenter(cert.cell))))
+
+
+def _barycenter(cell: ProductCell) -> tuple[list, list]:
+    # per player, the vertex numerators summed, over m * (d + 1) unreduced
+    sums = [[sum(column) for column in zip(*rows)] for rows, _ in cell.lattice]
+    return sums, [m * len(rows) for rows, m in cell.lattice]
+
+
+def _lifted_total(game: Game, cert: PreEquilibriumCert) -> int:
+    # the barycenter's total gain times lcm(payoff scales) * prod(m * (d + 1)),
+    # one factor for every certificate of a stage
+    return sum(_lifted_gains(game, _rows(game, *_barycenter(cert.cell))))
 
 
 def classify_cell(game: Game, cell: ProductCell) -> CellClassification:
     """Evaluate the ``up`` flags at the vertex profiles and report which
     case holds.  Diagnostics only — the search never branches on this.
 
-    The flags are :func:`~cellnash.game.gain_table`'s integer core summed
-    on the cell's lattice numerators over each grid's ``m``, unreduced:
-    that scales every player's gains by one positive factor, the product
-    of ``m / den`` over the players, so no flag changes.  Vertex profiles
-    are read in order until every player has a witness, the first profile
-    where that player is not up, and only the witnesses become profiles;
-    a player left without one is up everywhere, and the lowest such
-    player is reported.  A cell whose strategy counts are not the game's
-    is a :class:`DimensionMismatch`."""
+    The flags are :func:`~cellnash.game.gain_table`'s, read off the lifted
+    best gains of the cell's lattice numerators over each grid's ``m``,
+    unreduced: that scales every player's gains by one positive factor,
+    so no flag changes.  Vertex profiles are read in order until every
+    player has a witness, the first profile where that player is not up,
+    and only the witnesses become profiles; a player left without one is
+    up everywhere, and the lowest such player is reported.  A cell whose
+    strategy counts are not the game's is a :class:`DimensionMismatch`."""
     shape = tuple(len(rows[0]) for rows, _ in cell.lattice)
     if shape != game.shape:
         raise DimensionMismatch(f"cell of shape {shape} for a game of shape {game.shape}")
-    lcm = math.lcm(*game.payoff_scales)
-    # per player, each vertex's numerators and supported (offset, numerator) pairs
-    axes = [
-        [(row, [(s * stride, k) for s, k in enumerate(row) if k]) for row in rows]
-        for (rows, _), stride in zip(cell.lattice, game.strides)
-    ]
-    players = [
-        (tensor, lcm // scale, m, range(0, count * stride, stride))
-        for tensor, scale, (_, m), count, stride in zip(
-            game.integer_payoffs, game.payoff_scales, cell.lattice, game.shape, game.strides
-        )
-    ]
+    dens = [m for _, m in cell.lattice]
     witnesses: list[Optional[tuple]] = [None] * game.num_players
-    for combo in itertools.product(*axes):
-        rows, supports = zip(*combo)
-        lifted = []
-        for i, (tensor, lift, m, offsets) in enumerate(players):
-            devs = deviation_sums(tensor, supports[:i] + supports[i + 1 :], offsets)
-            # gain_table's best gain; the weights sum to m, so it is never negative
-            lifted.append((m * max(devs) - sum(map(operator.mul, rows[i], devs))) * lift)
+    for rows in itertools.product(*(rows for rows, _ in cell.lattice)):
+        lifted = _lifted_gains(game, _rows(game, rows, dens))
         for i, up in enumerate(up_flags(lifted, sum(lifted))):
             if not up and witnesses[i] is None:
                 witnesses[i] = rows
         if None not in witnesses:
-            dens = [m for _, m in cell.lattice]
             profiles = {w: _profile(*zip(*map(_reduced, w, dens))) for w in witnesses}
             return CellClassification(
                 SOME_PLAYER_NOT_UP, witnesses=tuple(map(profiles.__getitem__, witnesses))
@@ -283,13 +273,12 @@ def solve(
         certs = scan_cells(game, tris)
         chosen = {}
         if certs:
-            # lexicographic order, and min keeps the first minimum on ties;
-            # the candidates are lazy, so no list of gain tables is built
-            reps = map(representative, certs)
-            cert, final_profile, final_table = min(
-                ((c, rep, gain_table(game, rep)) for c, rep in zip(certs, reps)),
-                key=lambda candidate: candidate[2].total,
-            )
+            # the least total gain; min keeps the first on ties
+            cert = certs[0]
+            if len(certs) > 1:
+                cert = min(certs, key=partial(_lifted_total, game))
+            final_profile = representative(cert)
+            final_table = gain_table(game, final_profile)
             chosen = dict(
                 chosen_cell=cert.cell.factor,
                 classification=classify_cell(game, cert.cell),

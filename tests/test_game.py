@@ -28,6 +28,7 @@ from cellnash import (
     scalars,
     scan_cells,
 )
+from cellnash import search as search_module
 
 from conftest import (
     as_float_game,
@@ -479,22 +480,42 @@ def gain_table_strings(gains, best, total, up):
     return [[fmt(g) for g in row] for row in gains], [fmt(b) for b in best], fmt(total), list(up)
 
 
+def assert_lifted_gains_match(game, table, numerators, denominators):
+    """The lifted best gains at a profile's integer forms, reduced or not,
+    over ``lcm * prod(denominators)`` are ``table.best``, and their up
+    flags ``table.up``."""
+    rows = game_module._rows(game, numerators, denominators)
+    lifted = game_module._lifted_gains(game, rows)
+    den = math.lcm(*game.payoff_scales) * math.prod(denominators)
+    assert [Fraction(b, den) for b in lifted] == list(table.best)
+    assert game_module.up_flags(lifted, sum(lifted)) == table.up
+
+
 @pytest.mark.parametrize("payoffs", ["rational", "float"])
 def test_gain_table_matches_reference_on_label_corpus(payoffs):
     # every vertex profile and every certificate barycenter of the corpus,
     # whose games include rational payoffs; as floats, the payoffs are read
-    # as the exact binary fractions they hold
+    # as the exact binary fractions they hold.  The lifted best gains are
+    # checked at each profile's reduced form and at the unreduced one the
+    # search hands them: lattice numerators over m, barycenter sums over
+    # m * (d + 1)
     checked = 0
     for game, m in label_corpus():
         if payoffs == "float":
             game = as_float_game(game)
         tris = player_triangulations(game, m)
         profiles = [
-            MixedProfile(combo)
-            for combo in itertools.product(*(t.vertices for t in tris))
+            (MixedProfile(combo), (rows, [m] * len(rows)))
+            for combo, rows in zip(
+                itertools.product(*(t.vertices for t in tris)),
+                itertools.product(*(t.numerators for t in tris)),
+            )
         ]
-        profiles += [representative(cert) for cert in scan_cells(game, tris)]
-        for sigma in profiles:
+        profiles += [
+            (representative(cert), search_module._barycenter(cert.cell))
+            for cert in scan_cells(game, tris)
+        ]
+        for sigma, unreduced in profiles:
             table = gain_table(game, sigma)
             got = gain_table_strings(table.gains, table.best, table.total, table.up)
             assert got == gain_table_strings(*reference_gain_table(game, sigma)), (
@@ -502,6 +523,8 @@ def test_gain_table_matches_reference_on_label_corpus(payoffs):
                 m,
                 sigma,
             )
+            assert_lifted_gains_match(game, table, sigma.numerators, sigma.denominators)
+            assert_lifted_gains_match(game, table, *unreduced)
             checked += 1
     assert checked > 9269  # vertex profiles plus barycenters
 
@@ -667,12 +690,38 @@ def test_payoff_refuses_indices_that_are_not_ints(mp):
     "s", [True, 0.0, "0", 2, -1], ids=["bool", "float", "str", "past-end", "negative"]
 )
 def test_pure_profile_refuses_what_payoff_refuses(mp, s):
-    # as_mixed keeps Game.payoff's rule: an int in range, nothing else
-    for choices in ((s, 0), (0, s)):
-        for call in (mp.payoff, lambda _, pure: PureProfile(pure).as_mixed(mp)):
+    # as_mixed and flat_index keep Game.payoff's rule: an int in range,
+    # nothing else
+    calls = (
+        mp.payoff,
+        lambda _, pure: mp.flat_index(pure),
+        lambda _, pure: PureProfile(pure).as_mixed(mp),
+    )
+    for choices in ((s, 0), (0, s), (s, s)):
+        for call in calls:
             with pytest.raises(errors.IndexOutOfRange) as info:
                 call(0, choices)
             assert str(info.value) == f"strategy index {s!r} out of range"
+
+
+@pytest.mark.parametrize("pure", [(), (1,), (1, 1, 1)], ids=["empty", "short", "long"])
+def test_a_pure_index_of_the_wrong_length_is_refused(mp, pure):
+    # zip would truncate it to a payoff of some other combination
+    calls = (
+        lambda: mp.payoff(0, pure),
+        lambda: mp.flat_index(pure),
+        lambda: PureProfile(pure).as_mixed(mp),
+    )
+    for call in calls:
+        with pytest.raises(errors.DimensionMismatch) as info:
+            call()
+        assert str(info.value) == "pure profile length != player count"
+
+
+def test_flat_index_is_row_major_over_every_combination(rps):
+    combos = list(itertools.product(range(3), repeat=2))
+    assert list(map(rps.flat_index, combos)) == list(range(9))
+    assert tuple(rps.payoff(1, pure) for pure in combos) == rps.payoffs[1]
 
 
 def test_game_and_profile_refuse_list_containers():

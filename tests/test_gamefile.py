@@ -264,6 +264,39 @@ def test_to_json_writes_what_json_dumps_writes():
 
 
 @pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("name", [1], "field 'name' must be a string"),
+        ("name", 5, "field 'name' must be a string"),
+        ("name", None, "field 'name' must be a string"),
+        ("strategies", [[1, 2], ["a", "b"]], "strategies[0] must contain strings"),
+        ("strategies", [["a", "b"], ["a", None]], "strategies[1] must contain strings"),
+    ],
+    ids=["list-name", "int-name", "none-name", "int-strategies", "none-strategy"],
+)
+def test_game_refuses_names_that_parse_game_refuses(field, value, message):
+    # a Game that parse_game could not read back is refused when it is
+    # built, in parse_game's words; a list name would also break hash()
+    data = json.loads(MP_JSON)
+    data[field] = value
+    names = tuple(map(tuple, data["strategies"]))
+    for build in (
+        lambda: Game(names, MATCHING_PENNIES.payoffs, data["name"]),
+        lambda: parse_game(json.dumps(data)),
+    ):
+        with pytest.raises(errors.ParseError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_every_game_name_round_trips():
+    for name in ("", "g", "ü ∅", "\x00"):
+        game = Game((("H", "T"), ("H", "T")), MATCHING_PENNIES.payoffs, name)
+        again = parse_game(serialize_game(game))
+        assert again == game and hash(again) == hash(game)
+
+
+@pytest.mark.parametrize(
     "data",
     [{1, 2}, Fraction(1, 2), [Fraction(1, 2)], {"a": {1}}, {1: "a"}, b"x", int],
     ids=["set", "Fraction", "nested-Fraction", "nested-set", "int-key", "bytes", "type"],

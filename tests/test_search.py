@@ -504,6 +504,64 @@ def test_solve_tie_on_total_gain_keeps_first_cell():
     assert report.stages[0].total_gain == Fraction(3, 16)
 
 
+def reference_pick(game, certs):
+    """The pick as it was before the lifted totals: the first certificate
+    whose barycenter's gain table has the least total."""
+    return min(certs, key=lambda c: gain_table(game, representative(c)).total)
+
+
+def scaled_games():
+    """Games whose players' payoffs sit on different scales: player 0's
+    over 3 and player 1's over 7 as Fractions, and over 2 and 8 as floats.
+    On the two 2x3 games some stages would pick another certificate if
+    each player's gains were summed on their own scale."""
+    games = []
+    for base in (
+        BATTLE_OF_SEXES,
+        make_game((2, 3), ((0, 4, 4, 5, -2, -3), (-5, -2, -5, 3, -5, -2))),
+        make_game((2, 3), ((-2, 0, 2, -3, 3, 0), (-3, -1, 1, 3, 5, 3))),
+    ):
+        p0, p1 = base.payoffs
+        scales = (("fraction", (Fraction(1, 3), Fraction(1, 7))), ("float", (0.5, 0.125)))
+        for kind, (a, b) in scales:
+            game = make_game(
+                base.shape,
+                (tuple(v * a for v in p0), tuple(v * b for v in p1)),
+                name=f"{base.name}-scaled-{kind}",
+            )
+            assert game.payoff_scales == ((3, 7) if kind == "fraction" else (2, 8))
+            games.append(game)
+    return games
+
+
+def test_solve_picks_the_certificate_the_gain_tables_pick():
+    picks = collections.Counter()
+    for game in fixture_suite() + scaled_games():
+        for m in (2, 4, 8):
+            certs = find_pre_equilibria(game, m)
+            if not certs:
+                continue
+            expected = reference_pick(game, certs).cell.factor
+            stage = solve(game, 0, m0=m, max_stages=1).stages[0]
+            assert stage.chosen_cell == expected, (game.name, m)
+            picks["scaled" in game.name, expected != certs[0].cell.factor] += 1
+    # some picks are not the first certificate, on both kinds of game
+    assert picks[False, True] >= 4 and picks[True, True] >= 4
+
+
+def test_solve_builds_one_gain_table_per_stage_with_certificates(monkeypatch):
+    tables = count_calls(monkeypatch, game_module, "gain_table")
+    reps = count_calls(monkeypatch, search_module, "representative")
+    stages = 0
+    for game in fixture_suite() + scaled_games():
+        try:
+            report = solve(game, 0, m0=2, max_stages=4)
+        except errors.NoPreEquilibriumFound:
+            continue
+        stages += sum(1 for s in report.stages if s.pre_equilibria_found)
+    assert len(tables) == len(reps) == stages > 40
+
+
 def test_solve_carries_last_certificate_over_empty_stages():
     # certifies once at m=1; the stages at m=2 and m=4 come up empty
     report = solve(BOUNDARY_TIE_GAME, 0, m0=1, max_stages=3)
