@@ -161,7 +161,10 @@ class Game:
 
     def flat_index(self, pure: Sequence[int]) -> int:
         """A pure combination's position in the tensors: one ``int`` in
-        range per player, else a DimensionMismatch or IndexOutOfRange."""
+        range per player, else a DimensionMismatch or IndexOutOfRange.  A
+        ``pure`` that is not a sequence is a DimensionMismatch too."""
+        if not isinstance(pure, Sequence):
+            raise DimensionMismatch(f"pure profile {pure!r} is not a sequence")
         if len(pure) != len(self.shape):
             raise DimensionMismatch("pure profile length != player count")
         idx = 0

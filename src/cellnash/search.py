@@ -4,13 +4,21 @@ A product cell is a certificate when the labels of its vertex profiles
 hit every pure strategy combination exactly once.  The scan takes the
 grid's labels from :func:`~cellnash.labeling.label_rows`, once per
 distinct row (a row is the last player's labels at one tuple of the
-other players' vertices).  Per row it ORs each last-player cell's label
-bits once, and keeps a bitset of the cells whose labels do not repeat.
-A prefix cell (its cells of all players but the last) ANDs its rows'
-bitsets and ORs the masks only at the surviving bits.  A cell has one
-vertex profile per pure combination, so by pigeonhole its mask is full
+other players' vertices), and lays them out as *label planes*:
+``plane[label][row]`` is the bitset of last-player cells that have a
+vertex with that label in that row.  A plane is the OR of the *stars*
+of those vertices, each star being the cells that hold one vertex, as
+the grid keeps it (:attr:`~cellnash.subdivision.Triangulation.stars`),
+in windows of cells whose accumulators are joined once per row.  A
+grid longer than one window, read at few rows and labels, is laid out
+straight from its cells instead, in C loops over byte strings, without
+deriving its stars.  A prefix cell (its cells of all players but the last) is dropped at
+once when two of its vertex tuples share a row; otherwise it ANDs, label
+by label, the OR of its rows' planes, and stops at the first empty AND.
+The bits that remain are its certificates.  A cell has one vertex
+profile per pure combination, so by pigeonhole it holds every label
 exactly when no label repeats.  Cells are walked in lexicographic
-order, surviving bits lowest first, so every downstream tie-break
+order, remaining bits lowest first, so every downstream tie-break
 reproduces.
 
 ``solve`` refines the grid geometrically, keeps the certificate whose
@@ -43,7 +51,9 @@ from .labeling import label_rows
 from .labeling import root_label  # noqa: F401  perfbench's tracer test reads search.root_label
 from .scalars import Scalar
 from .subdivision import (
+    STAR_WINDOW,
     ProductCell,
+    Stars,
     Triangulation,
     build_product_cell,
     cell_diameter,
@@ -105,43 +115,22 @@ def scan_cells(
     ]
     rows, row_of = label_rows(game, tris)
     *prefix, last = tris
-    # a prefix cell's (all players' but the last) vertex tuples as row
-    # numbers: vertex index times the later prefix players' vertex counts
-    offsets = []
-    for j, tri in enumerate(prefix):
-        step = math.prod(len(t.numerators) for t in prefix[j + 1 :])
-        if step == 1:  # the last prefix player: a vertex index is its number
-            offsets.append(tri.cells)
-        else:
-            offsets.append([tuple(v * step for v in cell) for cell in tri.cells])
-    # per distinct row: each last-player cell's OR of label bits, and the
-    # bitset of cells whose labels do not repeat
-    size = last.dim + 1  # vertices per last-player cell
-    columns = list(zip(*last.cells))
-    or_rows = partial(map, operator.or_)  # elementwise, lazily
-    masks = []
-    live = []
-    for row in rows:
-        bits = [1 << flat for flat in row]
-        mask = list(reduce(or_rows, (map(bits.__getitem__, c) for c in columns)))
-        masks.append(mask)
-        live.append(sum(1 << c for c, m in enumerate(mask) if m.bit_count() == size))
-    full = (1 << len(pure)) - 1
-
+    first, *others = _planes(rows, last, len(pure))
+    factors = itertools.product(*(range(len(t.cells)) for t in prefix))
     certs: list[PreEquilibriumCert] = []
-    for factor in itertools.product(*(range(len(t.cells)) for t in prefix)):
-        tuples = map(sum, itertools.product(*map(operator.getitem, offsets, factor)))
-        ids = list(map(row_of.__getitem__, tuples))
-        survivors = reduce(operator.and_, map(live.__getitem__, ids))
-        if not survivors:
+    for factor, ids in zip(factors, _prefix_rows(prefix, row_of)):
+        if len(set(ids)) < len(ids):  # a row twice: every cell repeats a label
             continue
-        picked = list(map(masks.__getitem__, ids))
-        while survivors:  # lowest bit first: lexicographic cell order
-            low = survivors & -survivors
-            survivors ^= low
+        # the cells with every label: ANDed a label at a time, until empty
+        full = reduce(operator.or_, map(first.__getitem__, ids))
+        for plane in others:
+            if not full:
+                break
+            full &= reduce(operator.or_, map(plane.__getitem__, ids))
+        while full:  # lowest bit first: lexicographic cell order
+            low = full & -full
+            full ^= low
             c = low.bit_length() - 1
-            if reduce(operator.or_, [row[c] for row in picked]) != full:
-                continue
             certs.append(
                 PreEquilibriumCert(
                     cell=build_product_cell(tris, factor + (c,)),
@@ -150,6 +139,100 @@ def scan_cells(
                 )
             )
     return certs
+
+
+# a scan of a last grid longer than one star window, reading at most this
+# many (row, label) pairs, lays its planes out straight from the cells
+DIRECT_PLANES = 32
+
+
+def _planes(rows, last: Triangulation, count: int) -> list[tuple[int, ...]]:
+    """Per label, per distinct row, the bitset of last-player cells with
+    a vertex of that label in that row.  On a grid longer than a star
+    window, deriving the stars costs more than laying out a few rows
+    straight from the cells, so a scan of such a grid that reads few rows
+    and labels does that, and leaves the grid without stars."""
+    long = len(last.cells) > 1 << STAR_WINDOW
+    if long and len(rows) * count <= DIRECT_PLANES:
+        return _planes_from_cells(rows, last, count)
+    return _planes_from_stars(rows, last.stars, count)
+
+
+def _planes_from_stars(rows, stars: Stars, count: int) -> list[tuple[int, ...]]:
+    """The planes as ORs of vertex stars.  A row ORs each window's pieces
+    into one accumulator per label, a Python step per piece; the windows'
+    accumulators are then joined as bytes, so a long grid costs time
+    linear in its pieces."""
+    size = itertools.repeat((1 << stars.window) // 8)  # bytes per window
+    little = itertools.repeat("little")
+    windows = list(zip(stars.vertices, stars.bits))
+    planes = []
+    for row in rows:
+        parts = []
+        for vertices, bits in windows:
+            labels = map(row.__getitem__, vertices)
+            if len(vertices) == len(row):  # every vertex, so all in order
+                labels = row
+            acc = [0] * count
+            for label, held in zip(labels, bits):
+                acc[label] |= held
+            parts.append(acc)
+        if len(parts) == 1:
+            planes.append(parts[0])
+            continue
+        joined = [b"".join(map(int.to_bytes, c, size, little)) for c in zip(*parts)]
+        planes.append([int.from_bytes(b, "little") for b in joined])
+    return list(zip(*planes))
+
+
+def _planes_from_cells(rows, last: Triangulation, count: int) -> list[tuple[int, ...]]:
+    """The planes with no stars, in C loops over the cells: per row, the
+    labels of every cell's vertices as one byte string, highest cell
+    first, and of it per vertex position a slice; per label, each slice
+    turned into ``0``/``1`` digits and read as a base-2 integer.  A row
+    costs a few passes over every (cell, vertex) entry per label.  Labels
+    must fit a byte, as they do at most ``DIRECT_PLANES`` labels."""
+    size = last.dim + 1  # vertices per cell
+    digits = [b"0" * label + b"1" + b"0" * (255 - label) for label in range(count)]
+    # every entry's label; a long grid has several entries, so a tuple
+    gather = operator.itemgetter(*itertools.chain.from_iterable(last.cells))
+    planes = []
+    for row in rows:
+        flat = bytes(gather(row))[::-1]
+        labels = [flat[j::size] for j in range(size)]
+        planes.append(
+            [
+                reduce(operator.or_, (int(s.translate(table), 2) for s in labels))
+                for table in digits
+            ]
+        )
+    return list(zip(*planes))
+
+
+def _prefix_rows(prefix: Sequence[Triangulation], row_of: list[int]):
+    """Per prefix cell (a cell of every player but the last), in
+    lexicographic order, the row numbers of its vertex tuples, row-major.
+    The vertex tuples of the outer players' (all but the last prefix
+    player's) cells are numbered once; each numbers a block of
+    ``row_of``, which the last prefix player's cell indexes."""
+    if not prefix:  # one player: one empty prefix cell, one row
+        yield row_of
+        return
+    *outer, inner = prefix
+    tuples: list = [(0,)]
+    for j, tri in enumerate(outer):
+        step = math.prod(len(t.numerators) for t in outer[j + 1 :])
+        tuples = [
+            [a + v * step for a in numbers for v in cell]
+            for numbers in tuples
+            for cell in tri.cells
+        ]
+    size = len(inner.numerators)
+    blocks = [row_of[k : k + size] for k in range(0, len(row_of), size)]
+    for numbers in tuples:
+        # two players: one block, row_of itself, read at the cell's vertices
+        picked = [blocks[a] for a in numbers]
+        yield from ([b[v] for b in picked for v in cell] for cell in inner.cells)
 
 
 def representative(cert: PreEquilibriumCert) -> MixedProfile:

@@ -16,7 +16,13 @@ A grid is held in integers only, and exact points are made on demand.
 It depends only on its dimension and resolution, never on payoffs, so
 each one is built once per process and shared: one memo keeps the grids
 used last while they hold at most ``GRID_MEMO_LIMIT`` integers together.
-One check, of resolutions and budget, comes before that memo.
+One check, of resolutions and budget, comes before that memo.  A grid
+also holds the scan's form, derived on its first read: per vertex its
+*star*, the cells that hold it, cut into windows of ``2**STAR_WINDOW``
+consecutive cells, each piece a bitset relative to its window's first
+cell (:class:`Stars`).  So the stars hold at most a window's bits per
+(cell, vertex) entry, linear in the cells; one bitset per star would
+span up to ``2*m**(dim-1)`` cells, and a full-width one every cell.
 
 A product cell combines one cell per player; its vertex profiles are all
 combinations of the factor cells' vertices, which is exactly one profile
@@ -30,12 +36,13 @@ summed on integers and divided once.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 from collections.abc import Iterable
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -49,6 +56,7 @@ from .scalars import Scalar
 
 DEFAULT_BUDGET = 10_000_000
 GRID_MEMO_LIMIT = DEFAULT_BUDGET  # integers the memoized grids hold together
+STAR_WINDOW = 8  # a star window spans 2**STAR_WINDOW consecutive cells
 
 
 def default_budget() -> int:
@@ -73,6 +81,20 @@ def check_int(value, name: str) -> None:
         raise ParameterOutOfRange(f"{name} {value!r} is not an integer")
 
 
+class Stars(NamedTuple):
+    """A grid's vertex stars, cut into windows of ``2**window``
+    consecutive cells.  ``vertices[w]`` are the vertices that the cells
+    of window ``w`` hold, ascending; ``bits[w]`` has per such vertex a
+    piece, the bitset whose bit ``k`` is set when the window's cell ``k``
+    holds it.  A vertex's star is its pieces over the windows.  A piece
+    is at most a window wide, and each (cell, vertex) entry adds to one
+    piece, so the stars hold at most ``(dim + 1) * len(cells)`` pieces."""
+
+    window: int
+    vertices: tuple[tuple[int, ...], ...]
+    bits: tuple[tuple[int, ...], ...]
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """All cells of one player's simplex grid, in integers: each vertex's
@@ -80,7 +102,8 @@ class Triangulation:
     cell as an ascending tuple of vertex indices, the cells sorted.  The
     labeler's form is derived on construction: the distinct vertex
     ``supports``, each vertex's index into them, and ``columns[s]``,
-    every vertex's numerator on strategy ``s``."""
+    every vertex's numerator on strategy ``s``.  The scan's form,
+    :attr:`stars`, is derived on its first read and then held."""
 
     dim: int  # simplex dimension: strategy count minus one
     resolution: int
@@ -100,6 +123,25 @@ class Triangulation:
         object.__setattr__(self, "supports", tuple(found))
         object.__setattr__(self, "support_ids", ids)
         object.__setattr__(self, "columns", tuple(zip(*self.numerators)))
+
+    @functools.cached_property
+    def stars(self) -> Stars:
+        """Each vertex's star, the cells that hold it, in windows of
+        ``2**STAR_WINDOW`` consecutive cells.  Not a field, so it is
+        outside ``==``, hash and repr like the labeler's form."""
+        span = 1 << STAR_WINDOW
+        steps = [1 << k for k in range(span)]
+        vertices, bits = [], []
+        for base in range(0, len(self.cells), span):
+            held: dict[int, int] = {}  # vertex -> its cells in this window
+            get = held.get
+            for cell, step in zip(self.cells[base : base + span], steps):
+                for v in cell:
+                    held[v] = get(v, 0) | step
+            order = sorted(held)
+            vertices.append(tuple(order))
+            bits.append(tuple(map(held.__getitem__, order)))
+        return Stars(STAR_WINDOW, tuple(vertices), tuple(bits))
 
     def point(self, v: int) -> tuple[Scalar, ...]:
         """Vertex ``v`` as an exact point, with ``int`` corners."""
@@ -142,8 +184,11 @@ def triangulate(dim: int, resolution: int) -> Triangulation:
 _grids: dict[tuple[int, int], Triangulation] = {}  # least recently used first
 
 
-def _size(tri: Triangulation) -> int:  # the integers in its numerators and cells
-    return (tri.dim + 1) * (len(tri.numerators) + len(tri.cells))
+def _size(tri: Triangulation) -> int:
+    # the integers in its numerators and cells, and two (a vertex and its
+    # bits) for each star piece the grid may hold, at most one per (cell,
+    # vertex) entry: counted whether or not the stars are derived yet
+    return (tri.dim + 1) * (len(tri.numerators) + 3 * len(tri.cells))
 
 
 def _build(dim: int, m: int) -> Triangulation:

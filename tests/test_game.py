@@ -718,6 +718,20 @@ def test_a_pure_index_of_the_wrong_length_is_refused(mp, pure):
         assert str(info.value) == "pure profile length != player count"
 
 
+@pytest.mark.parametrize(
+    "pure", [5, None, iter((0, 0))], ids=["int", "none", "iterator"]
+)
+def test_a_pure_index_that_is_not_a_sequence_is_refused(mp, pure):
+    # len would raise a bare TypeError, or an iterator be half consumed
+    for call in (lambda: mp.payoff(0, pure), lambda: mp.flat_index(pure)):
+        with pytest.raises(errors.DimensionMismatch) as info:
+            call()
+        assert str(info.value) == f"pure profile {pure!r} is not a sequence"
+    # a str is a sequence: its items are refused one by one
+    with pytest.raises(errors.IndexOutOfRange):
+        mp.payoff(0, "ab")
+
+
 def test_flat_index_is_row_major_over_every_combination(rps):
     combos = list(itertools.product(range(3), repeat=2))
     assert list(map(rps.flat_index, combos)) == list(range(9))

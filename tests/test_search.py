@@ -124,8 +124,15 @@ def test_scan_matches_reference_scan(payoffs):
         )
 
 
-# (shape, m, draw): the game is the draw-th random game of that shape from
-# Random(FIXTURE_SEED); each case has at least one certificate
+# (shape, m, draw[, rank]): the game is the draw-th random game of that
+# shape from Random(FIXTURE_SEED); each case has at least one certificate.
+# A rank adds rank * s_i to player i's payoff at every pure combination:
+# with rank 11 against payoffs in -5..5 each player's deviation payoffs
+# rise with the strategy index, so its label is its vertex's lowest
+# supported strategy, and a product cell certifies when every factor's
+# vertices have distinct lowest strategies.  Random games with more than
+# 64 pure combinations were not seen to certify at a grid the tests can
+# afford.
 MASK_WALK_CASES = {
     "3x1": ((3, 1), 4, 0),
     "1x3": ((1, 3), 4, 0),
@@ -139,6 +146,13 @@ MASK_WALK_CASES = {
     # the walk reads a row that several tuples share
     "4x4-m4-shared-row": ((4, 4), 4, 2),
     "5x5-m3": ((5, 5), 3, 5),
+    # four players: three outer prefix players number the vertex tuples
+    "2x2x2x2-m3": ((2, 2, 2, 2), 3, 0),
+    # more than 64 labels, so label sets pass one machine word
+    "3x3x3x3-m2-ranked": ((3, 3, 3, 3), 2, 0, 11),
+    "9x8-m2-ranked": ((9, 8), 2, 0, 11),
+    # a long one-dimensional last grid, 256 cells
+    "2x2-m256": ((2, 2), 256, 0),
 }
 
 
@@ -164,13 +178,65 @@ def test_mask_walk_matches_reference_scan(case, monkeypatch, tmp_path, capsys):
         assert scans == [expected]
     else:
         assert find_pre_equilibria(game, m) == expected
+        # both plane layouts, with star windows of 8 cells, several on most
+        # last grids here (grids built anew derive their stars so): from
+        # stars, and, on grids longer than a window, straight from the cells
+        monkeypatch.setattr(subdivision, "_grids", {})
+        monkeypatch.setattr(subdivision, "STAR_WINDOW", 3)
+        monkeypatch.setattr(search_module, "STAR_WINDOW", 3)
+        for direct in (0, math.inf):
+            monkeypatch.setattr(search_module, "DIRECT_PLANES", direct)
+            assert find_pre_equilibria(game, m) == expected
+
+
+@pytest.mark.parametrize(
+    "shape, m",
+    [((2,), 1000), ((3,), 40), ((2, 3), 20), ((2, 2, 2), (3, 3, 300)), ((1, 4), 9)],
+)
+def test_planes_from_cells_match_planes_from_stars(shape, m):
+    # long last grids, several star windows each, read at one or more rows
+    game = random_game(random.Random(FIXTURE_SEED), shape)
+    tris = player_triangulations(game, m)
+    last = tris[-1]
+    rows, _ = labeling.label_rows(game, tris)
+    count = math.prod(shape)
+    planes = search_module._planes_from_stars(rows, last.stars, count)
+    assert len(last.stars.vertices) > 1
+    assert search_module._planes_from_cells(rows, last, count) == planes
+    # a plane's bit is a cell with a vertex of its label in its row
+    for label, plane in enumerate(planes):
+        for row, bits in zip(rows, plane):
+            held = [c for c, cell in enumerate(last.cells) if label in [row[v] for v in cell]]
+            assert bits == sum(1 << c for c in held)
+
+
+def test_only_a_scan_at_many_rows_derives_a_long_grids_stars(monkeypatch):
+    monkeypatch.setattr(subdivision, "_grids", {})
+    # one row, two labels: the planes come straight from the cells
+    game = random_game(random.Random(FIXTURE_SEED), (2,))
+    tris = player_triangulations(game, 1000)
+    assert scan_cells(game, tris) == reference_scan(game, 1000)
+    assert "stars" not in vars(tris[-1])
+    # more rows times labels than DIRECT_PLANES: from the stars
+    game = random_game(random.Random(FIXTURE_SEED), (3, 3))
+    tris = player_triangulations(game, (2, 24))
+    assert len(labeling.label_rows(game, tris)[0]) * 9 > search_module.DIRECT_PLANES
+    assert scan_cells(game, tris) == reference_scan(game, (2, 24))
+    assert "stars" in vars(tris[-1])
 
 
 def _mask_walk_game(case):
-    shape, m, draw = MASK_WALK_CASES[case]
+    shape, m, draw, *rank = MASK_WALK_CASES[case]
     rng = random.Random(FIXTURE_SEED)
     for _ in range(draw + 1):
         game = random_game(rng, shape)
+    if rank:
+        combos = list(itertools.product(*map(range, shape)))
+        payoffs = tuple(
+            tuple(u + rank[0] * pure[i] for u, pure in zip(game.payoffs[i], combos))
+            for i in range(len(shape))
+        )
+        game = make_game(shape, payoffs)
     return game, m
 
 

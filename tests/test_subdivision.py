@@ -436,20 +436,47 @@ def _leaves(value):
         yield value
 
 
+def _star_bits(stars, v):
+    """Vertex ``v``'s star as one bitset over all cells, from its pieces."""
+    span = 1 << stars.window
+    return sum(
+        bits[vertices.index(v)] << w * span
+        for w, (vertices, bits) in enumerate(zip(stars.vertices, stars.bits))
+        if v in vertices
+    )
+
+
 @pytest.mark.parametrize("dim", range(4))
-def test_memo_returns_the_uncached_grid_and_keeps_it(dim):
+def test_memo_returns_the_uncached_grid_and_keeps_it(dim, monkeypatch):
+    # a fresh grid derives its stars in windows of 4 cells, several on
+    # most grids here
+    monkeypatch.setattr(subdivision, "STAR_WINDOW", 2)
     for m in range(1, 7):
         tri = triangulate(dim, m)
         fresh = subdivision._kuhn_grid(dim, m)
         assert fresh is not tri
-        for name in vars(tri):
+        # its fields, the labeler's form too (the stars are no field)
+        fields = [f.name for f in dataclasses.fields(tri)]
+        for name in fields:
             assert getattr(tri, name) == getattr(fresh, name), (dim, m, name)
         # the grid holds ints only; the labeler's form is read off them
-        assert {type(x) for x in _leaves(tuple(vars(tri).values()))} == {int}
+        assert {type(x) for x in _leaves(tuple(map(vars(tri).get, fields)))} == {int}
         assert [tri.supports[i] for i in tri.support_ids] == [
             tuple(s for s, k in enumerate(v) if k) for v in tri.numerators
         ]
         assert tri.columns == tuple(zip(*tri.numerators))
+        # a vertex's star is the cells that hold it, over its pieces; a
+        # window lists its vertices ascending, each piece within the window
+        # (the fresh grid's, as the memo's may be derived with the default)
+        stars = fresh.stars
+        assert stars.window == 2
+        assert len(stars.vertices) == -(-len(tri.cells) // 4)
+        for vertices, bits in zip(stars.vertices, stars.bits):
+            assert list(vertices) == sorted(set(vertices))
+            assert all(0 < b < 1 << 4 for b in bits)
+        for v in range(len(tri.numerators)):
+            held = [c for c, cell in enumerate(tri.cells) if v in cell]
+            assert _star_bits(stars, v) == sum(1 << c for c in held)
         # each point is its numerators over m, with ints at the corners
         points = [tuple(Fraction(k, m) for k in v) for v in tri.numerators]
         assert points == list(tri.vertices) == list(map(tri.point, range(len(points))))
@@ -469,10 +496,13 @@ def test_equality_hash_and_repr_ignore_the_labeler_form():
     assert hash(bare) == hash(tri)
     assert repr(bare) == repr(tri)
     assert not any(name in repr(tri) for name in derived)
+    # the scan's stars are derived on first read, outside ==, hash and repr
+    assert "stars" not in vars(bare) and tri.stars and bare == tri
+    assert "stars" not in repr(tri)
     # built again from its integers, a grid derives the same form
     twin = Triangulation(2, 3, tri.numerators, tri.cells)
-    assert [getattr(twin, name) for name in derived] == [
-        getattr(tri, name) for name in derived
+    assert [getattr(twin, name) for name in derived + ["stars"]] == [
+        getattr(tri, name) for name in derived + ["stars"]
     ]
     assert tri != triangulate(2, 4)
     assert tri != dataclasses.replace(tri, cells=tri.cells[1:])
@@ -525,11 +555,15 @@ def test_budget_refuses_a_grid_before_the_builder(monkeypatch):
 
 
 def test_memo_holds_at_most_its_size(memo, monkeypatch):
-    # a 1-D grid at m holds 2(m + 1) + 2m integers: 6, 10, 14 and 18 for m = 1..4
+    # a 1-D grid at m holds 2(m + 1) + 2m integers in its numerators and
+    # cells, and may hold a star piece, two integers, per (cell, vertex)
+    # entry, 4m more: 10, 18, 26 and 34 for m = 1..4
     sizes = {m: subdivision._size(triangulate(1, m)) for m in range(1, 5)}
-    assert sizes == {1: 6, 2: 10, 3: 14, 4: 18}
+    assert sizes == {1: 10, 2: 18, 3: 26, 4: 34}
+    for m in sizes:  # one window: every vertex, one piece each
+        assert triangulate(1, m).stars.vertices == (tuple(range(m + 1)),)
     memo.clear()
-    monkeypatch.setattr(subdivision, "GRID_MEMO_LIMIT", 6 + 10 + 14)
+    monkeypatch.setattr(subdivision, "GRID_MEMO_LIMIT", 10 + 18 + 26)
     game = make_game((2,), ((0, 1),))
     for m in (1, 2, 3):
         labeling.label_rows(game, player_triangulations(game, m))
@@ -545,13 +579,30 @@ def test_memo_holds_at_most_its_size(memo, monkeypatch):
     rebuilt = triangulate(1, 2)
     assert rebuilt == subdivision._kuhn_grid(1, 2)
     assert list(memo) == [(1, 1), (1, 2)]
-    assert sum(map(subdivision._size, memo.values())) == 6 + 10
+    assert sum(map(subdivision._size, memo.values())) == 10 + 18
+
+
+@pytest.mark.parametrize("dim, m", [(2, 60), (3, 16)])
+def test_stars_hold_bounded_pieces_per_cell_entry(dim, m):
+    # a star as one bitset would span up to 2m^(dim-1) cells; in windows,
+    # each (cell, vertex) entry adds to one piece at most a window wide
+    tri = subdivision._kuhn_grid(dim, m)
+    stars = tri.stars
+    entries = (dim + 1) * len(tri.cells)
+    pieces = sum(map(len, stars.vertices))
+    assert len(stars.vertices) > 1 and pieces <= entries
+    width = 1 << stars.window
+    assert all(b.bit_length() <= width for bits in stars.bits for b in bits)
+    assert sum(b.bit_length() for bits in stars.bits for b in bits) <= width * entries
+    # the memo counts two integers per piece the grid may hold
+    held = (dim + 1) * (len(tri.numerators) + len(tri.cells)) + 2 * pieces
+    assert subdivision._size(tri) >= held
 
 
 def test_a_grid_over_the_whole_limit_is_returned_but_not_kept(memo, monkeypatch):
-    monkeypatch.setattr(subdivision, "GRID_MEMO_LIMIT", 15)
-    small = triangulate(1, 2)  # 10 integers
-    big = triangulate(1, 4)  # 18 integers
+    monkeypatch.setattr(subdivision, "GRID_MEMO_LIMIT", 30)
+    small = triangulate(1, 2)  # 18 integers
+    big = triangulate(1, 4)  # 34 integers
     assert big == subdivision._kuhn_grid(1, 4)
     assert list(memo) == [(1, 2)]
     assert triangulate(1, 4) is not big
