@@ -113,6 +113,8 @@ class Game:
                 raise ShapeError(f"duplicate strategy names in {names}")
         shape = tuple(len(names) for names in self.strategy_names)
         size = math.prod(shape)
+        if type(self.payoffs) is not tuple:
+            raise ShapeError(f"payoffs {_not_a_tuple(self.payoffs)}")
         if len(self.payoffs) != len(shape):
             raise ShapeError(
                 f"expected {len(shape)} payoff tensors, got {len(self.payoffs)}"
@@ -126,8 +128,6 @@ class Game:
                 raise ShapeError(
                     f"payoff tensor {i} has {len(tensor)} entries, expected {size}"
                 )
-        if type(self.payoffs) is not tuple:
-            raise ShapeError(f"payoffs is a {type(self.payoffs).__name__}, not a tuple")
         # an integer game costs one type scan and no copy; others a
         # second scan and one integer tensor per player
         if _INT.issuperset(map(type, itertools.chain(*self.payoffs))):
@@ -196,14 +196,13 @@ class PureProfile:
             raise ShapeError(f"choices {self.choices!r} {_not_a_tuple(self.choices)}")
 
     def as_mixed(self, game: Game) -> MixedProfile:
-        if len(self.choices) != game.num_players:
-            raise DimensionMismatch("pure profile length != player count")
-        dists = []
-        for s, count in zip(self.choices, game.shape):
-            if type(s) is not int or not 0 <= s < count:  # as Game.payoff
-                raise IndexOutOfRange(f"strategy index {s!r} out of range")
-            dists.append(tuple(1 if t == s else 0 for t in range(count)))
-        return MixedProfile(tuple(dists))
+        game.flat_index(self.choices)  # refuses what Game.payoff refuses
+        return MixedProfile(
+            tuple(
+                tuple(1 if t == s else 0 for t in range(count))
+                for s, count in zip(self.choices, game.shape)
+            )
+        )
 
 
 @dataclass(frozen=True, slots=True)

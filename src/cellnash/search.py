@@ -9,17 +9,16 @@ other players' vertices), and lays them out as *label planes*:
 vertex with that label in that row.  A plane is the OR of the *stars*
 of those vertices, each star being the cells that hold one vertex, as
 the grid keeps it (:attr:`~cellnash.subdivision.Triangulation.stars`),
-in windows of cells whose accumulators are joined once per row.  A
-grid longer than one window, read at few rows and labels, is laid out
-straight from its cells instead, in C loops over byte strings, without
-deriving its stars.  A prefix cell (its cells of all players but the last) is dropped at
-once when two of its vertex tuples share a row; otherwise it ANDs, label
-by label, the OR of its rows' planes, and stops at the first empty AND.
-The bits that remain are its certificates.  A cell has one vertex
-profile per pure combination, so by pigeonhole it holds every label
-exactly when no label repeats.  Cells are walked in lexicographic
-order, remaining bits lowest first, so every downstream tie-break
-reproduces.
+in windows of cells whose accumulators are joined once per row.  A grid
+derives its stars on its first scan, a Python step per (cell, vertex)
+entry, and holds them.  A prefix cell (its cells of all players but the
+last) is dropped at once when two of its vertex tuples share a row;
+otherwise it ANDs, label by label, the OR of its rows' planes, and stops
+at the first empty AND.  The bits that remain are its certificates.  A
+cell has one vertex profile per pure combination, so by pigeonhole it
+holds every label exactly when no label repeats.  Cells are walked in
+lexicographic order, remaining bits lowest first, so every downstream
+tie-break reproduces.
 
 ``solve`` refines the grid geometrically, keeps the certificate whose
 barycenter has the smallest total gain, and stops once the barycenter's
@@ -51,7 +50,6 @@ from .labeling import label_rows
 from .labeling import root_label  # noqa: F401  perfbench's tracer test reads search.root_label
 from .scalars import Scalar
 from .subdivision import (
-    STAR_WINDOW,
     ProductCell,
     Stars,
     Triangulation,
@@ -115,7 +113,7 @@ def scan_cells(
     ]
     rows, row_of = label_rows(game, tris)
     *prefix, last = tris
-    first, *others = _planes(rows, last, len(pure))
+    first, *others = _planes_from_stars(rows, last.stars, len(pure))
     factors = itertools.product(*(range(len(t.cells)) for t in prefix))
     certs: list[PreEquilibriumCert] = []
     for factor, ids in zip(factors, _prefix_rows(prefix, row_of)):
@@ -141,28 +139,12 @@ def scan_cells(
     return certs
 
 
-# a scan of a last grid longer than one star window, reading at most this
-# many (row, label) pairs, lays its planes out straight from the cells
-DIRECT_PLANES = 32
-
-
-def _planes(rows, last: Triangulation, count: int) -> list[tuple[int, ...]]:
-    """Per label, per distinct row, the bitset of last-player cells with
-    a vertex of that label in that row.  On a grid longer than a star
-    window, deriving the stars costs more than laying out a few rows
-    straight from the cells, so a scan of such a grid that reads few rows
-    and labels does that, and leaves the grid without stars."""
-    long = len(last.cells) > 1 << STAR_WINDOW
-    if long and len(rows) * count <= DIRECT_PLANES:
-        return _planes_from_cells(rows, last, count)
-    return _planes_from_stars(rows, last.stars, count)
-
-
 def _planes_from_stars(rows, stars: Stars, count: int) -> list[tuple[int, ...]]:
-    """The planes as ORs of vertex stars.  A row ORs each window's pieces
-    into one accumulator per label, a Python step per piece; the windows'
-    accumulators are then joined as bytes, so a long grid costs time
-    linear in its pieces."""
+    """Per label, per distinct row, the bitset of last-player cells with
+    a vertex of that label in that row, as ORs of vertex stars.  A row
+    ORs each window's pieces into one accumulator per label, a Python
+    step per piece; the windows' accumulators are then joined as bytes,
+    so a long grid costs time linear in its pieces."""
     size = itertools.repeat((1 << stars.window) // 8)  # bytes per window
     little = itertools.repeat("little")
     windows = list(zip(stars.vertices, stars.bits))
@@ -182,30 +164,6 @@ def _planes_from_stars(rows, stars: Stars, count: int) -> list[tuple[int, ...]]:
             continue
         joined = [b"".join(map(int.to_bytes, c, size, little)) for c in zip(*parts)]
         planes.append([int.from_bytes(b, "little") for b in joined])
-    return list(zip(*planes))
-
-
-def _planes_from_cells(rows, last: Triangulation, count: int) -> list[tuple[int, ...]]:
-    """The planes with no stars, in C loops over the cells: per row, the
-    labels of every cell's vertices as one byte string, highest cell
-    first, and of it per vertex position a slice; per label, each slice
-    turned into ``0``/``1`` digits and read as a base-2 integer.  A row
-    costs a few passes over every (cell, vertex) entry per label.  Labels
-    must fit a byte, as they do at most ``DIRECT_PLANES`` labels."""
-    size = last.dim + 1  # vertices per cell
-    digits = [b"0" * label + b"1" + b"0" * (255 - label) for label in range(count)]
-    # every entry's label; a long grid has several entries, so a tuple
-    gather = operator.itemgetter(*itertools.chain.from_iterable(last.cells))
-    planes = []
-    for row in rows:
-        flat = bytes(gather(row))[::-1]
-        labels = [flat[j::size] for j in range(size)]
-        planes.append(
-            [
-                reduce(operator.or_, (int(s.translate(table), 2) for s in labels))
-                for table in digits
-            ]
-        )
     return list(zip(*planes))
 
 

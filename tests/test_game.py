@@ -76,14 +76,40 @@ def test_game_validation_rejects_list_tensors():
     # a list tensor would make the frozen game unhashable
     one, two = (("a", "b"),), (("a",), ("a", "b"))
     for names, payoffs, message in (
-        (one, [[1, 2]], "payoff tensor 0 is a list, not a tuple"),
+        (one, ([1, 2],), "payoff tensor 0 is a list, not a tuple"),
         (two, ((1, 2), [3, 4]), "payoff tensor 1 is a list, not a tuple"),
         (two, [(1, 2), (3, 4)], "payoffs is a list, not a tuple"),
+        (one, [[1, 2]], "payoffs is a list, not a tuple"),
     ):
         with pytest.raises(errors.ShapeError) as info:
             Game(strategy_names=names, payoffs=payoffs)
         assert str(info.value) == message
     hash(Game(strategy_names=(("a", "b"),), payoffs=((1, 2),)))
+
+
+def test_payoffs_that_are_not_a_tuple_are_refused_before_len():
+    # len of a generator would escape as a bare TypeError
+    names = (("a", "b"),)
+    for payoffs, message in (
+        ((t for t in [(1, 2)]), "payoffs is not a sequence"),
+        ([(1, 2)], "payoffs is a list, not a tuple"),
+    ):
+        with pytest.raises(errors.ShapeError) as info:
+            Game(strategy_names=names, payoffs=payoffs)
+        assert str(info.value) == message
+
+
+def test_game_validation_rejects_empty_and_miscounted_shapes():
+    for names, payoffs, message in (
+        ((), (), "a game needs at least one player"),
+        (((),), ((),), "every player needs at least one strategy"),
+        ((("a",), ()), ((1,), (1,)), "every player needs at least one strategy"),
+        ((("a", "b"),), ((1, 2), (3, 4)), "expected 1 payoff tensors, got 2"),
+        ((("a",), ("b",)), ((1,),), "expected 2 payoff tensors, got 1"),
+    ):
+        with pytest.raises(errors.ShapeError) as info:
+            Game(strategy_names=names, payoffs=payoffs)
+        assert str(info.value) == message
 
 
 def test_game_validation_rejects_duplicate_names():

@@ -23,6 +23,7 @@ from cellnash import (
     root_label,
     root_motion,
 )
+from cellnash import labeling
 from cellnash.labeling import label_rows
 
 from conftest import (
@@ -282,6 +283,19 @@ def test_motion_refuses_t_that_is_not_a_number(mp):
 def test_check_root_properties_examples(mp, pd):
     assert check_root_properties(mp, PureProfile((0, 0)).as_mixed(mp))
     assert check_root_properties(pd, PureProfile((1, 1)).as_mixed(pd))
+
+
+def test_check_root_properties_refuses_a_label_that_breaks_a_law(mp, monkeypatch):
+    # matching pennies, player 0 mixed half and half against player 1's
+    # first strategy: player 0's strategy 0 gains 1 over the expected
+    # payoff 0, strategy 1 loses 1; player 1 supports only strategy 0
+    sigma = MixedProfile(((Fraction(1, 2), Fraction(1, 2)), (1, 0)))
+    assert check_root_properties(mp, sigma)
+    # player 0 passes, player 1's label is unsupported; then player 0's
+    # label has a positive gain
+    for label in ((1, 1), (0, 0)):
+        monkeypatch.setattr(labeling, "root_label", lambda game, s: PureProfile(label))
+        assert not check_root_properties(mp, sigma)
 
 
 @st.composite

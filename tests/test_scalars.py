@@ -40,6 +40,19 @@ def test_parse_rejects_garbage():
         scalars.parse_scalar("one half")
 
 
+def test_parse_fraction_objects_come_back_canonical():
+    assert scalars.parse_scalar(Fraction(2, 4)) == Fraction(1, 2)
+    assert scalars.parse_scalar(Fraction(4, 2)) == 2
+    assert isinstance(scalars.parse_scalar(Fraction(4, 2)), int)
+
+
+@pytest.mark.parametrize("bad", [None, 1j, [1]], ids=["None", "complex", "list"])
+def test_parse_rejects_unsupported_types(bad):
+    with pytest.raises(errors.ParseError) as info:
+        scalars.parse_scalar(bad)
+    assert str(info.value) == f"cannot parse scalar of type {type(bad).__name__}"
+
+
 def test_parse_rejects_bool():
     with pytest.raises(errors.ParseError):
         scalars.parse_scalar(True)

@@ -178,15 +178,11 @@ def test_mask_walk_matches_reference_scan(case, monkeypatch, tmp_path, capsys):
         assert scans == [expected]
     else:
         assert find_pre_equilibria(game, m) == expected
-        # both plane layouts, with star windows of 8 cells, several on most
-        # last grids here (grids built anew derive their stars so): from
-        # stars, and, on grids longer than a window, straight from the cells
+        # star windows of 8 cells, several on most last grids here (grids
+        # built anew derive their stars so)
         monkeypatch.setattr(subdivision, "_grids", {})
         monkeypatch.setattr(subdivision, "STAR_WINDOW", 3)
-        monkeypatch.setattr(search_module, "STAR_WINDOW", 3)
-        for direct in (0, math.inf):
-            monkeypatch.setattr(search_module, "DIRECT_PLANES", direct)
-            assert find_pre_equilibria(game, m) == expected
+        assert find_pre_equilibria(game, m) == expected
 
 
 @pytest.mark.parametrize(
@@ -194,15 +190,14 @@ def test_mask_walk_matches_reference_scan(case, monkeypatch, tmp_path, capsys):
     [((2,), 1000), ((3,), 40), ((2, 3), 20), ((2, 2, 2), (3, 3, 300)), ((1, 4), 9)],
 )
 def test_planes_from_cells_match_planes_from_stars(shape, m):
-    # long last grids, several star windows each, read at one or more rows
+    # long last grids, several star windows each, read at one or more rows;
+    # the reference planes are counted from the cells, one cell at a time
     game = random_game(random.Random(FIXTURE_SEED), shape)
     tris = player_triangulations(game, m)
     last = tris[-1]
     rows, _ = labeling.label_rows(game, tris)
-    count = math.prod(shape)
-    planes = search_module._planes_from_stars(rows, last.stars, count)
+    planes = search_module._planes_from_stars(rows, last.stars, math.prod(shape))
     assert len(last.stars.vertices) > 1
-    assert search_module._planes_from_cells(rows, last, count) == planes
     # a plane's bit is a cell with a vertex of its label in its row
     for label, plane in enumerate(planes):
         for row, bits in zip(rows, plane):
@@ -210,19 +205,17 @@ def test_planes_from_cells_match_planes_from_stars(shape, m):
             assert bits == sum(1 << c for c in held)
 
 
-def test_only_a_scan_at_many_rows_derives_a_long_grids_stars(monkeypatch):
+def test_every_scan_derives_a_long_grids_stars(monkeypatch):
     monkeypatch.setattr(subdivision, "_grids", {})
-    # one row, two labels: the planes come straight from the cells
-    game = random_game(random.Random(FIXTURE_SEED), (2,))
-    tris = player_triangulations(game, 1000)
-    assert scan_cells(game, tris) == reference_scan(game, 1000)
-    assert "stars" not in vars(tris[-1])
-    # more rows times labels than DIRECT_PLANES: from the stars
-    game = random_game(random.Random(FIXTURE_SEED), (3, 3))
-    tris = player_triangulations(game, (2, 24))
-    assert len(labeling.label_rows(game, tris)[0]) * 9 > search_module.DIRECT_PLANES
-    assert scan_cells(game, tris) == reference_scan(game, (2, 24))
-    assert "stars" in vars(tris[-1])
+    # one row and two labels, then many rows and nine labels: both grids
+    # are longer than a star window, and the scan derives their stars
+    for shape, m in [((2,), 1000), ((3, 3), (2, 24))]:
+        game = random_game(random.Random(FIXTURE_SEED), shape)
+        tris = player_triangulations(game, m)
+        assert len(tris[-1].cells) > 1 << subdivision.STAR_WINDOW
+        assert "stars" not in vars(tris[-1])
+        assert scan_cells(game, tris) == reference_scan(game, m)
+        assert "stars" in vars(tris[-1])
 
 
 def _mask_walk_game(case):
