@@ -209,16 +209,23 @@ def _argmins(rows, support, stride):
 _add = partial(map, operator.add)  # elementwise, lazily
 
 
-def root_motion(game: Game, sigma: MixedProfile, t: Scalar) -> MixedProfile:
-    """Point at parameter ``t`` on the segment from ``sigma`` to the
-    degenerate profile on its label.  ``t=0`` returns ``sigma`` itself,
-    ``t=1`` the fully moved profile.  A ``t`` that is not an int, Fraction
-    or float, or lies outside [0, 1], is a :class:`ParameterOutOfRange`."""
+def motion_parameter(t: Scalar) -> Scalar:
+    """``t`` as the exact number it holds; a ``t`` that is not an int,
+    Fraction or float, or lies outside [0, 1], is a
+    :class:`ParameterOutOfRange`."""
     if not isinstance(t, (int, Fraction, float)):
         raise ParameterOutOfRange(f"t {t!r} is not an int, Fraction or float")
     if not 0 <= t <= 1:  # also refuses NaN
         raise ParameterOutOfRange(f"t={t} outside [0, 1]")
-    t = scalars.exact([t])[0]
+    return scalars.exact([t])[0]
+
+
+def root_motion(game: Game, sigma: MixedProfile, t: Scalar) -> MixedProfile:
+    """Point at parameter ``t`` on the segment from ``sigma`` to the
+    degenerate profile on its label.  ``t=0`` returns ``sigma`` itself,
+    ``t=1`` the fully moved profile.  A bad ``t`` is refused by
+    :func:`motion_parameter`."""
+    t = motion_parameter(t)
     targets = root_label(game, sigma).choices
     return MixedProfile(
         tuple(

@@ -5,7 +5,10 @@ Fractions or floats.  Each row is scaled to integers and eliminated
 fraction-free, so ``Fraction`` objects are made only for returned values:
 :func:`determinant` by Bareiss elimination, whose divisions are exact, and
 :func:`solve_affine` by :func:`eliminate`, the Gauss–Jordan core that the
-support enumeration oracle also runs on its integer payoff rows.
+support enumeration oracle also runs on its integer payoff rows.  The
+volume module reads :func:`determinant` twice: on moved points for one
+cell's volume at ``t``, and on integer edge matrices at ``t = 0..d`` for
+the values its volume polynomials are interpolated from.
 """
 
 from __future__ import annotations

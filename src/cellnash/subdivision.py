@@ -144,7 +144,10 @@ class Triangulation:
         return Stars(STAR_WINDOW, tuple(vertices), tuple(bits))
 
     def point(self, v: int) -> tuple[Scalar, ...]:
-        """Vertex ``v`` as an exact point, with ``int`` corners."""
+        """Vertex ``v`` as an exact point, with ``int`` corners; a ``v``
+        that is not an ``int`` in range is an :class:`IndexOutOfRange`."""
+        if type(v) is not int or not 0 <= v < len(self.numerators):
+            raise IndexOutOfRange(f"vertex index {v!r} out of range")
         return _ratios(self.numerators[v], self.resolution)
 
     @property
@@ -292,7 +295,10 @@ def build_product_cell(
 ) -> ProductCell:
     """The product cell with cell ``factor[i]`` of player ``i``'s grid; a
     factor of the wrong length is a :class:`DimensionMismatch`, and a cell
-    index that is not an ``int`` in range an :class:`IndexOutOfRange`."""
+    index that is not an ``int`` in range an :class:`IndexOutOfRange`.  A
+    ``factor`` that is not a sequence is a DimensionMismatch too."""
+    if not isinstance(factor, Sequence):
+        raise DimensionMismatch(f"factor {factor!r} is not a sequence")
     factor = tuple(factor)
     if len(factor) != len(triangulations):
         raise DimensionMismatch(

@@ -7,10 +7,13 @@ and because the motion keeps boundary faces inside themselves, the sum
 over all cells stays identically one.  At ``t = 1`` a cell's volume is
 nonzero exactly when its vertex labels are pairwise distinct — that is,
 when the cell is a certificate.  This module computes those polynomials
-exactly, on the grid's integer numerators, and checks the constancy
-claim coefficient by coefficient.  The numeric :func:`moved_cell_volume`,
-which moves a cell's vertices with :func:`~cellnash.labeling.root_motion`,
-is the independent check on them.
+exactly, on the grid's integer numerators: a cell's polynomial has degree
+at most the grid's dimension ``d``, so :func:`~cellnash.linalg.determinant`
+reads it at ``t = 0..d`` and Newton's forward differences give back its
+integer coefficients.  It checks the constancy claim coefficient by
+coefficient.  The numeric :func:`moved_cell_volume`, which moves a cell's
+vertices with :func:`~cellnash.labeling.root_motion`, is the independent
+check on them.
 
 Multi-player products are out of scope here; the search module covers
 them combinatorially.
@@ -18,6 +21,7 @@ them combinatorially.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -26,7 +30,7 @@ from typing import Sequence
 
 from .errors import DimensionMismatch, NotSinglePlayer, ParameterOutOfRange
 from .game import Game
-from .labeling import grid_labels, root_motion
+from .labeling import grid_labels, motion_parameter, root_motion
 from .linalg import determinant
 from . import scalars
 from .scalars import Scalar
@@ -37,18 +41,6 @@ Poly = tuple[Scalar, ...]  # coefficients, constant term first
 
 def _poly_add(a: Poly, b: Poly) -> Poly:
     return tuple(x + y for x, y in zip_longest(a, b, fillvalue=0))
-
-
-def _poly_mul(a: Poly, b: Poly) -> Poly:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return tuple(out)
-
-
-def _poly_scale(a: Poly, factor: Scalar) -> Poly:
-    return tuple(c * factor for c in a)
 
 
 def _poly_eval(a: Poly, t: Scalar) -> Scalar:
@@ -66,42 +58,19 @@ def _poly_trim(a: Poly) -> Poly:
     return a[:end]
 
 
-def _poly_divexact(a: Poly, b: Poly) -> Poly:
-    """``a / b`` by long division, for integer polynomials where ``b`` is
-    nonzero and divides ``a`` in Z[t], so every quotient digit is exact."""
-    b = _poly_trim(b)
-    rest = list(a)
-    out = [0] * max(len(a) - len(b) + 1, 1)
-    for k in reversed(range(len(a) - len(b) + 1)):
-        q = out[k] = rest[k + len(b) - 1] // b[-1]
-        for j, c in enumerate(b):
-            rest[k + j] -= q * c
-    return _poly_trim(tuple(out))
-
-
-def _poly_det(matrix: list[list[Poly]]) -> Poly:
-    """Determinant with integer polynomial entries, by Bareiss elimination:
-    each step's division by the previous pivot is exact in Z[t], and a
-    zero pivot swaps in a lower row with a nonzero entry."""
-    n = len(matrix)
-    rows = [list(row) for row in matrix]
-    sign, prev = 1, (1,)
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if any(rows[r][k])), None)
-        if pivot is None:
-            return (0,)
-        if pivot != k:
-            rows[k], rows[pivot] = rows[pivot], rows[k]
-            sign = -sign
-        p = rows[k][k]
-        for row in rows[k + 1 :]:
-            for j in range(k + 1, n):
-                minor = _poly_add(
-                    _poly_mul(row[j], p), _poly_scale(_poly_mul(row[k], rows[k][j]), -1)
-                )
-                row[j] = _poly_divexact(minor, prev) if k else minor
-        prev = p
-    return _poly_scale(prev, sign)
+def _interpolate(values: Sequence[int]) -> Poly:
+    """``d! * p`` for the polynomial ``p`` of degree <= ``d`` that reads
+    ``values[k]`` at ``k``: ``sum_k (d!/k!) D^k p(0) t(t-1)...(t-k+1)``."""
+    d = len(values) - 1
+    out, falling, diffs = [0] * (d + 1), [1], list(values)
+    for k in range(d + 1):
+        weight = math.factorial(d) // math.factorial(k) * diffs[0]
+        for i, c in enumerate(falling):
+            out[i] += weight * c
+        # falling * (t - k), and the next row of differences
+        falling = [a - k * b for a, b in zip([0] + falling, falling + [0])]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+    return tuple(out)
 
 
 def _check_grid(game: Game, tri: Triangulation) -> None:
@@ -129,9 +98,14 @@ def _volume_polynomial(
         [(nr[c] - n0[c], m * ((c == lr) - (c == l0)) - nr[c] + n0[c]) for c in axes]
         for nr, lr in zip(others, labels[1:])
     ]
-    poly = _poly_trim(_poly_det(matrix))
-    scale = m**tri.dim if poly[0] > 0 else -(m**tri.dim)
-    return tuple(Fraction(c, scale) for c in poly)
+    # the determinant has degree at most d in t: read it at t = 0..d
+    values = [
+        int(determinant([[a + k * b for a, b in row] for row in matrix]))
+        for k in range(tri.dim + 1)
+    ]
+    scale = math.factorial(tri.dim) * m**tri.dim
+    poly = _poly_trim(_interpolate(values))
+    return tuple(Fraction(c, scale if values[0] > 0 else -scale) for c in poly)
 
 
 _moved: tuple = (None, {})  # the last (game, grid, t) and its moved vertices
@@ -179,9 +153,10 @@ class VolumePolynomial:
         return all(c == 0 for c in self.total[1:])
 
     def value_at(self, t: Scalar) -> Scalar:
-        return _poly_eval(self.total, t)
+        return _poly_eval(self.total, motion_parameter(t))
 
     def cell_values_at(self, t: Scalar) -> tuple[Scalar, ...]:
+        t = motion_parameter(t)
         return tuple(_poly_eval(p, t) for p in self.cell_polys)
 
 

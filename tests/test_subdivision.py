@@ -413,10 +413,21 @@ def test_build_product_cell_refuses_bad_factors():
     for factor in ((9, 9), (0, 2), (-1, 0), ("0", 0), (0, 1.0), (True, 0)):
         with pytest.raises(errors.IndexOutOfRange):
             build_product_cell(tris, factor)
-    for factor in ((0,), (0, 0, 0)):
+    for factor in ((0,), (0, 0, 0), 5, None):
         with pytest.raises(errors.DimensionMismatch):
             build_product_cell(tris, factor)
     assert build_product_cell(tris, (1, 0)).factor == (1, 0)
+    assert build_product_cell(tris, [1, 0]).factor == (1, 0)
+
+
+def test_point_refuses_an_index_that_is_not_an_int_in_range():
+    tri = triangulate(2, 3)
+    for v in (99, len(tri.numerators), -1, 1.0, "0", None, True):
+        with pytest.raises(errors.IndexOutOfRange):
+            tri.point(v)
+    last = len(tri.numerators) - 1
+    assert tri.point(0) == (0, 0, 1)
+    assert tri.point(last) == tri.vertices[-1] == (1, 0, 0)
 
 
 @pytest.fixture

@@ -1,6 +1,8 @@
 """Signed-volume bookkeeping for the single-player label motion."""
 
+import itertools
 import json
+import math
 import random
 import time
 from fractions import Fraction
@@ -13,6 +15,7 @@ from cellnash import (
     find_pre_equilibria,
     labeling,
     grid_labels,
+    linalg,
     moved_cell_volume,
     root_label,
     serialize_game,
@@ -43,9 +46,15 @@ def test_rejects_multi_player_games(mp):
 def test_refuses_bad_t_cell_and_grid_dimension():
     game = make_game((2,), ((0, 1),))
     tri = triangulate(1, 2)
-    for bad in ("x", 1j, None):
+    result = total_volume_polynomial(game, tri)
+    bad_ts = ("x", "0.5", 1j, None, float("nan"), float("inf"), 2, -1)
+    for bad in bad_ts:
         with pytest.raises(errors.ParameterOutOfRange):
             moved_cell_volume(game, tri, 0, bad)
+        with pytest.raises(errors.ParameterOutOfRange):
+            result.value_at(bad)
+        with pytest.raises(errors.ParameterOutOfRange):
+            result.cell_values_at(bad)
     for cell in ("0", 0.0, True, 2, -1):
         with pytest.raises(errors.ParameterOutOfRange):
             moved_cell_volume(game, tri, cell, 0)
@@ -200,9 +209,28 @@ def test_cell_walk_moves_each_vertex_once(monkeypatch):
         assert all(type(v) is Fraction for v in moved)
 
 
+def poly_add(a, b):
+    return tuple(x + y for x, y in itertools.zip_longest(a, b, fillvalue=0))
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
+
+
+def poly_trim(a):
+    while len(a) > 1 and a[-1] == 0:
+        a = a[:-1]
+    return a
+
+
 def reference_poly_det(matrix):
-    # the first-column expansion the elimination replaced: (n - 1)!
-    # products per determinant, kept as the reference it must match
+    # the first-column expansion over integer polynomials: (n - 1)!
+    # products per determinant, kept as the reference the volume
+    # polynomials must match
     n = len(matrix)
     if n == 0:
         return (1,)
@@ -211,18 +239,30 @@ def reference_poly_det(matrix):
     total = (0,)
     for r in range(n):
         minor = [row[1:] for i, row in enumerate(matrix) if i != r]
-        term = volume._poly_mul(matrix[r][0], reference_poly_det(minor))
-        if r % 2:
-            term = volume._poly_scale(term, -1)
-        total = volume._poly_add(total, term)
+        term = poly_mul(matrix[r][0], reference_poly_det(minor))
+        total = poly_add(total, poly_mul((-1,), term) if r % 2 else term)
     return total
+
+
+@pytest.mark.parametrize("d", range(9))
+def test_interpolation_returns_factorial_times_polynomial(d):
+    # random integer polynomials of degree at most d, the zero polynomial
+    # and lower degrees included, come back from their values at 0..d
+    rng = random.Random(d)
+    for trial in range(30):
+        degree = rng.randint(-1, d) if trial % 3 else d
+        p = tuple(rng.randint(-50, 50) for _ in range(degree + 1)) or (0,)
+        got = volume._interpolate([poly_eval(p, k) for k in range(d + 1)])
+        assert all(type(c) is int for c in got)
+        expected = tuple(math.factorial(d) * c for c in p)
+        assert poly_trim(got) == poly_trim(expected), (d, trial)
 
 
 @pytest.mark.parametrize("n", range(7))
 def test_poly_det_matches_first_column_expansion(n):
-    # degree-1 entries over small integers, as the volume polynomials
-    # build them; zeroed entries force row swaps and, with a zeroed
-    # column, a singular matrix
+    # det(A + t B) as the volume polynomials take it, linalg.determinant
+    # read at t = 0..n and interpolated, over small integers; zeroed
+    # entries force row swaps and, with a zeroed column, a singular matrix
     rng = random.Random(n)
 
     def entry():
@@ -236,26 +276,45 @@ def test_poly_det_matches_first_column_expansion(n):
                     row[j] = (0, 0)
         if n and trial % 5 == 0:
             for row in matrix:
-                row[rng.randrange(n)] = (0,)
-        got = volume._poly_det(matrix)
-        assert all(type(c) is int for c in got)
-        expected = volume._poly_trim(reference_poly_det(matrix))
-        assert volume._poly_trim(got) == expected, (n, trial)
+                row[rng.randrange(n)] = (0, 0)
+        values = [
+            int(linalg.determinant([[a + k * b for a, b in row] for row in matrix]))
+            for k in range(n + 1)
+        ]
+        got = volume._interpolate(values)
+        expected = tuple(math.factorial(n) * c for c in reference_poly_det(matrix))
+        assert poly_trim(got) == poly_trim(expected), (n, trial)
+
+
+def edge_matrix(tri, cell, labels):
+    # the degree-1 edge matrix of the moved cell, entries (a, b) for a + t b,
+    # from the points themselves: vertex r moves to v_r + t (e_{l_r} - v_r)
+    m = tri.resolution
+    points = [tri.numerators[v] for v in cell]
+    targets = [[m * (c == lab) for c in range(tri.dim + 1)] for lab in labels]
+    return [
+        [
+            (p[c] - points[0][c], (q[c] - p[c]) - (targets[0][c] - points[0][c]))
+            for c in range(1, tri.dim + 1)
+        ]
+        for p, q in zip(points[1:], targets[1:])
+    ]
 
 
 @pytest.mark.parametrize("strategies, step", [(5, 1), (6, 1), (7, 6)])
-def test_volume_polynomials_match_first_column_expansion(strategies, step, monkeypatch):
+def test_volume_polynomials_match_first_column_expansion(strategies, step):
     # every cell of the m=2 grid at 5 and 6 strategies, every sixth at 7
     rng = random.Random(FIXTURE_SEED + strategies)
     game = random_game(rng, (strategies,))
     tri = triangulate(strategies - 1, 2)
     labels = grid_labels(game, (tri,))
-    cells = tri.cells[::step]
-    polys = [volume._volume_polynomial(tri, c, [labels[v] for v in c]) for c in cells]
     assert total_volume_polynomial(game, tri).total == (1,)
-    monkeypatch.setattr(volume, "_poly_det", reference_poly_det)
-    for cell, poly in zip(cells, polys):
-        assert poly == volume._volume_polynomial(tri, cell, [labels[v] for v in cell])
+    for cell in tri.cells[::step]:
+        cell_labels = [labels[v] for v in cell]
+        expected = poly_trim(reference_poly_det(edge_matrix(tri, cell, cell_labels)))
+        scale = tri.resolution**tri.dim * (1 if expected[0] > 0 else -1)
+        poly = volume._volume_polynomial(tri, cell, cell_labels)
+        assert poly == tuple(Fraction(c, scale) for c in expected)
 
 
 def test_nine_strategy_volume_check_finishes_in_seconds(capsys, tmp_path):
